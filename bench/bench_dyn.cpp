@@ -12,9 +12,11 @@
 //     serving layer actually runs, so the reported rate includes toggle
 //     resolution against the base and any compactions the ratio triggers.
 //
-// Also reports the erase path (batch removal of half the stream) and the
+// Also reports the erase path (batch removal of half the stream), the
 // resident bytes of each structure, since the CPMA's delta encoding is the
-// point of carrying it instead of a plain PMA.
+// point of carrying it instead of a plain PMA, and (S8) single-threaded
+// point has_edge latency: PmaCsr beside a HybridGraph::View with an empty
+// delta and with the delta the ingest left pending.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +44,20 @@ using pcq::graph::VertexId;
 
 double rate(std::size_t n, double seconds) {
   return static_cast<double>(n) / std::max(seconds, 1e-12);
+}
+
+/// Mean ns per has_edge call over `probes`. Aborts when fewer than
+/// `min_hits` probes answer true: a store holding the whole stream must
+/// hit every stream probe.
+template <typename HasEdge>
+double ns_per_probe(const std::vector<Edge>& probes, std::size_t min_hits,
+                    HasEdge&& has_edge) {
+  std::size_t hits = 0;
+  pcq::util::Timer t;
+  for (const Edge& e : probes) hits += has_edge(e.u, e.v) ? 1 : 0;
+  const double ns = t.seconds() * 1e9 / static_cast<double>(probes.size());
+  if (hits < min_hits) std::abort();
+  return ns;
 }
 
 }  // namespace
@@ -95,8 +111,19 @@ int main(int argc, char** argv) {
   std::printf("ingest stream: %zu unique edges, batch %zu, threads %d\n", n,
               batch, threads);
 
+  // Point-query probes: even slots are stream edges (hits once ingested),
+  // odd slots uniform pairs (almost all misses).
+  std::vector<Edge> probes(std::size_t{1} << 18);
+  {
+    pcq::util::SplitMix64 rng(seed ^ 0x5eedull);
+    for (std::size_t i = 0; i < probes.size(); ++i)
+      probes[i] = i % 2 == 0 ? stream[rng.next_below(n)]
+                             : Edge{static_cast<VertexId>(rng.next_below(nodes)),
+                                    static_cast<VertexId>(rng.next_below(nodes))};
+  }
+
   // --- pcsr single-edge baseline ---------------------------------------
-  double pcsr_insert_s, pcsr_bytes;
+  double pcsr_insert_s, pcsr_bytes, pcsr_probe_ns;
   {
     pcq::csr::PmaCsr pma;
     pcq::util::Timer t;
@@ -104,6 +131,10 @@ int main(int argc, char** argv) {
     pcsr_insert_s = t.seconds();
     pcsr_bytes = static_cast<double>(pma.size_bytes());
     if (pma.num_edges() != n) std::abort();
+    pcsr_probe_ns =
+        ns_per_probe(probes, probes.size() / 2, [&pma](VertexId u, VertexId v) {
+          return pma.has_edge(u, v);
+        });
   }
   std::printf("pcsr  single-edge insert  %10.0f edges/s  (%.3fs, %.1f B/edge)\n",
               rate(n, pcsr_insert_s), pcsr_insert_s,
@@ -157,8 +188,8 @@ int main(int argc, char** argv) {
   }
 
   // --- hybrid live ingest ------------------------------------------------
-  double hybrid_s;
-  std::size_t hybrid_compactions, hybrid_delta_keys;
+  double hybrid_s, empty_probe_ns, pending_probe_ns;
+  std::size_t hybrid_compactions, hybrid_delta_keys, pending_keys;
   {
     std::fprintf(stderr, "[bench_dyn] building %zu-edge base CSR...\n",
                  base_edges);
@@ -169,11 +200,19 @@ int main(int argc, char** argv) {
     HybridGraph hybrid(
         pcq::csr::build_bitpacked_csr_from_sorted(base_list, nodes, 0));
     const std::size_t before = hybrid.num_edges();
+    empty_probe_ns =
+        ns_per_probe(probes, 0, [view = hybrid.view()](VertexId u, VertexId v) {
+          return view.has_edge(u, v);
+        });
+    // The View the last batch published, pinned before its maybe_compact:
+    // it keeps the ingest's pending delta even if that batch compacts.
+    HybridGraph::View pending;
     std::size_t compactions = 0;
     pcq::util::Timer t;
     for (std::size_t off = 0; off < n; off += batch) {
       const std::size_t len = std::min(batch, n - off);
       hybrid.add_edges({stream.data() + off, len}, threads);
+      if (off + len == n) pending = hybrid.view();
       if (hybrid.maybe_compact(threads)) ++compactions;
     }
     hybrid_s = t.seconds();
@@ -183,7 +222,14 @@ int main(int argc, char** argv) {
                 "compactions, %zu -> %zu edges, %zu delta keys pending)\n",
                 rate(n, hybrid_s), hybrid_s, compactions, before,
                 hybrid.num_edges(), hybrid_delta_keys);
+    pending_keys = pending.delta().size();
+    pending_probe_ns = ns_per_probe(
+        probes, probes.size() / 2,
+        [&pending](VertexId u, VertexId v) { return pending.has_edge(u, v); });
   }
+  std::printf("point has_edge (t=1)      pcsr %.0f ns | hybrid empty delta "
+              "%.0f ns | hybrid %zu delta keys %.0f ns\n",
+              pcsr_probe_ns, empty_probe_ns, pending_keys, pending_probe_ns);
 
   // --- consolidated JSON document (--json FILE) --------------------------
   const std::string json = flags.get("json", "");
@@ -219,9 +265,12 @@ int main(int argc, char** argv) {
     out << buf;
     std::snprintf(buf, sizeof buf,
                   "\"hybrid\":{\"ingest_edges_per_s\":%.1f,\"elapsed_s\":%.6f,"
-                  "\"compactions\":%zu,\"delta_keys_pending\":%zu}}\n",
+                  "\"compactions\":%zu,\"delta_keys_pending\":%zu},"
+                  "\"point_has_edge_ns\":{\"pcsr\":%.1f,\"hybrid_empty\":%.1f,"
+                  "\"hybrid_pending\":%.1f,\"pending_keys\":%zu}}\n",
                   rate(n, hybrid_s), hybrid_s, hybrid_compactions,
-                  hybrid_delta_keys);
+                  hybrid_delta_keys, pcsr_probe_ns, empty_probe_ns,
+                  pending_probe_ns, pending_keys);
     out << buf;
     if (!out) {
       std::fprintf(stderr, "error: cannot write results to %s\n", json.c_str());

@@ -935,13 +935,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[bench_svc] in-process server on port %u\n",
                    static_cast<unsigned>(port));
     } else {
-      const auto colon = target.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "error: --connect wants HOST:PORT\n");
-        return 2;
-      }
-      host = target.substr(0, colon);
-      port = static_cast<std::uint16_t>(std::stoul(target.substr(colon + 1)));
+      const pcq::util::HostPort remote =
+          pcq::util::parse_host_port_or_exit(target);
+      host = remote.host;
+      port = remote.port;
     }
     RunResult net_run = run_net_load(host, port, reqs, cfg.connections,
                                      cfg.rate, cfg.seed + 11);
@@ -993,6 +990,9 @@ int main(int argc, char** argv) {
     else
       fractions = {0.05, 0.50};
     const std::string target = flags.get("connect", "");
+    const pcq::util::HostPort remote =
+        target.empty() ? pcq::util::HostPort{}
+                       : pcq::util::parse_host_port_or_exit(target);
     for (const double wf : fractions) {
       const std::vector<Request> mixed = make_mixed_workload(cfg, wf);
       char label[64];
@@ -1000,16 +1000,8 @@ int main(int argc, char** argv) {
                     100.0 * (1.0 - wf), 100.0 * wf);
       RunResult r;
       if (!target.empty()) {
-        const auto colon = target.rfind(':');
-        if (colon == std::string::npos) {
-          std::fprintf(stderr, "error: --connect wants HOST:PORT\n");
-          return 2;
-        }
-        const std::string host = target.substr(0, colon);
-        const auto port =
-            static_cast<std::uint16_t>(std::stoul(target.substr(colon + 1)));
-        r = run_net_load(host, port, mixed, cfg.connections, cfg.rate,
-                         cfg.seed + 13);
+        r = run_net_load(remote.host, remote.port, mixed, cfg.connections,
+                         cfg.rate, cfg.seed + 13);
       } else {
         pcq::dyn::HybridGraph hybrid(graph);
         pcq::svc::QueryService service(hybrid, history_ptr, batched);

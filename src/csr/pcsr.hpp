@@ -3,9 +3,10 @@
 // §II describes PCSR [9] / PPCSR [13]: CSR whose edge array is replaced by
 // a Packed Memory Array [10][11] — a sorted array with evenly spread gaps
 // that supports O(log² N) amortised inserts without shifting everything.
-// This is the related-work cure for the static-CSR weakness that the
-// lightweight overlay (csr/dynamic.hpp) works around; bench_dynamic puts
-// the two side by side.
+// This is the related-work cure for the static-CSR weakness. pcq's own
+// mutable tier is dyn::HybridGraph (src/dyn); this store stays as its
+// uncompressed-PMA comparator, which bench_dyn sets beside it for ingest
+// and point has_edge.
 //
 // Edges are stored as packed 64-bit keys (u << 32 | v) in a PMA whose leaf
 // segments hold Θ(log N) slots. Per-segment minima and counts accelerate

@@ -1,17 +1,17 @@
 // pcq::dyn::HybridGraph — a bit-packed CSR base with a CPMA mutable tier.
 //
-// The same split DynamicCsr uses (static compressed base + mutation
-// buffer, queries see base XOR buffer), but with the buffer upgraded from
-// a single-threaded sorted vector to the batch-parallel, delta-compressed,
-// snapshot-readable Cpma — so ingest scales across cores and queries keep
-// running against a pinned (base, delta) pair while batches land.
+// §II names CSR's static format as its weakness. This keeps the bulk of
+// the graph in the paper's bit-packed CSR and buffers mutations in the
+// batch-parallel, delta-compressed, snapshot-readable Cpma; queries see
+// base XOR buffer. Ingest scales across cores, and queries keep running
+// against a pinned (base, delta) pair while batches land.
 //
-// Parity rule (identical to DynamicCsr and the Section IV time frames): a
-// key present in the delta *toggles* the base. add_edges/remove_edges
-// translate intent into toggles against the current base — adding an edge
-// the base already has erases its pending-removal key (if any) instead of
-// inserting, and vice versa — so the delta never accumulates no-ops and
-// the visible edge set is always base ⊕ delta.
+// Parity rule (the one the Section IV time frames use): a key present in
+// the delta *toggles* the base. add_edges/remove_edges translate intent
+// into toggles against the current base — adding an edge the base already
+// has erases its pending-removal key (if any) instead of inserting, and
+// vice versa — so the delta never accumulates no-ops and the visible edge
+// set is always base ⊕ delta.
 //
 // Consistency: every mutation publishes one immutable State holding the
 // base (shared_ptr) and the delta epoch (Cpma::Snapshot) together. A View

@@ -1,7 +1,9 @@
 #include "util/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace pcq::util {
 
@@ -75,6 +77,22 @@ std::vector<int> Flags::get_int_list(const std::string& name,
     pos = comma + 1;
   }
   return out;
+}
+
+HostPort parse_host_port_or_exit(const std::string& target) {
+  const std::size_t colon = target.rfind(':');
+  if (colon != std::string::npos && colon > 0) {
+    const char* last = target.data() + target.size();
+    unsigned port = 0;
+    const auto [end, ec] =
+        std::from_chars(target.data() + colon + 1, last, port);
+    if (ec == std::errc{} && end == last && port >= 1 && port <= 65535)
+      return {target.substr(0, colon), static_cast<std::uint16_t>(port)};
+  }
+  std::fprintf(stderr,
+               "error: expected HOST:PORT with PORT in 1-65535, got '%s'\n",
+               target.c_str());
+  std::exit(2);
 }
 
 }  // namespace pcq::util

@@ -45,4 +45,15 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// A network target given on the command line as HOST:PORT.
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Splits `target` at its last ':' into a non-empty host and a decimal port
+/// in 1-65535. Anything else is a usage error: prints it, naming `target`,
+/// and exits 2 like an unknown flag.
+HostPort parse_host_port_or_exit(const std::string& target);
+
 }  // namespace pcq::util

@@ -58,21 +58,23 @@ grep -q "tcsr.differential_scan" "$TMP/snap.json"
 # --- Negative cases: corrupt inputs are refused with a typed IoError -------
 # (exit 3, "error: ..." on stderr), never a crash/abort. `set -e` is
 # suspended around each expected failure via the if-negation idiom.
-expect_ioerror() {
-  # expect_ioerror <description> <cmd...>: must exit 3 and print "error:".
-  desc="$1"; shift
+expect_exit() {
+  # expect_exit <status> <description> <cmd...>: must exit <status> and
+  # print "error:".
+  want="$1"; desc="$2"; shift 2
   if "$@" > "$TMP/neg.out" 2>&1; then
     echo "NEGATIVE CASE FAILED ($desc): command succeeded"; exit 1
   else
     status=$?
-    if [ "$status" -ne 3 ]; then
-      echo "NEGATIVE CASE FAILED ($desc): exit $status, want 3 (IoError)"
+    if [ "$status" -ne "$want" ]; then
+      echo "NEGATIVE CASE FAILED ($desc): exit $status, want $want"
       cat "$TMP/neg.out"; exit 1
     fi
   fi
   grep -q "error:" "$TMP/neg.out" || {
     echo "NEGATIVE CASE FAILED ($desc): no error message"; exit 1; }
 }
+expect_ioerror() { expect_exit 3 "$@"; }
 
 # Missing inputs.
 expect_ioerror "compress missing file"  "$PCQ" compress "$TMP/nope.txt"
@@ -171,11 +173,22 @@ if [ -n "$SERVE" ]; then
   if "$SERVE" "$TMP/bad.csr" --mmap < /dev/null > /dev/null 2>&1; then
     echo "corrupt csr was not refused under --mmap"; exit 1
   fi
+  # A malformed HOST:PORT is a usage error (exit 2) naming the target, not
+  # an abort or a port silently taken modulo 65536.
+  for target in 127.0.0.1:abc 127.0.0.1:70000 127.0.0.1:0; do
+    expect_exit 2 "connect $target" "$SERVE" --connect "$target" < /dev/null
+    grep -q "$target" "$TMP/neg.out"
+    [ -z "$TOP" ] || expect_exit 2 "pcq_top $target" "$TOP" "$target" --once
+  done
 
   # TCP serving: --listen 0 binds an ephemeral port and prints it; the
   # --connect client drives the same line protocol over the binary frame
   # protocol; the shutdown control frame triggers a graceful drain (every
   # in-flight answer flushed, "drain complete" printed, exit 0).
+  # Each server log is created before its server starts, so the port poll
+  # below never races the background redirect (a failed read of a missing
+  # file would end the script under `set -e`).
+  : > "$TMP/listen.out"
   "$SERVE" "$TMP/g.csr" --tcsr "$TMP/t.tcsr" --listen 0 > "$TMP/listen.out" 2>&1 &
   LISTEN_PID=$!
   PORT=""
@@ -186,21 +199,33 @@ if [ -n "$SERVE" ]; then
     i=$((i + 1)); sleep 0.1
   done
   [ -n "$PORT" ] || { echo "pcq_serve --listen never printed its port"; exit 1; }
-  printf "degree 0\ne 0 1\ne 1 0\nn 0\nte 0 1 1\nte 0 1 2\nshutdown\n" \
+  # One script through --connect and through stdin mode over the same
+  # files: both modes share one line grammar, so the answers must match.
+  printf "degree 0\nn 0\ne 0 1\ne 1 0\nte 0 1 1\nte 0 1 2\ntn 1 1\nj 0 2 0\nbogus 1\n" \
+      > "$TMP/script.txt"
+  { cat "$TMP/script.txt"; echo shutdown; } \
       | "$SERVE" --connect "127.0.0.1:$PORT" > "$TMP/connect.out"
   grep -q "degree(0) = 2" "$TMP/connect.out"
   grep -q "edge (0, 1): present" "$TMP/connect.out"
   grep -q "edge (1, 0): absent" "$TMP/connect.out"
   grep -q "neighbors(0) \[2\]: 1 2" "$TMP/connect.out"
+  grep -q "journey 0 -> 2: arrives frame 1" "$TMP/connect.out"
+  grep -q "unknown query 'bogus 1'" "$TMP/connect.out"
   grep -q "shutdown acknowledged" "$TMP/connect.out"
   wait "$LISTEN_PID" || { echo "pcq_serve --listen exited nonzero"; exit 1; }
   grep -q "drain complete" "$TMP/listen.out"
+  "$SERVE" "$TMP/g.csr" --tcsr "$TMP/t.tcsr" < "$TMP/script.txt" \
+      | sed '1,/^serving /d; /^-- service metrics --$/,$d' > "$TMP/stdin.ans"
+  grep -v "^shutdown acknowledged" "$TMP/connect.out" > "$TMP/connect.ans"
+  diff "$TMP/stdin.ans" "$TMP/connect.ans" || {
+    echo "stdin and --connect answers differ"; exit 1; }
 
   # Admin telemetry plane: a second --listen run with --admin 0 prints the
   # admin port; pcq_top --scrape drives every route. --slow-us 1 plus an
   # injected kernel delay guarantees the slow-query log fills, and the
   # reporter writes a JSONL series.
   if [ -n "$TOP" ]; then
+    : > "$TMP/admin.out"
     "$SERVE" "$TMP/g.csr" --listen 0 --admin 0 --slow-us 1 \
         --inject-delay-us 500 --report "$TMP/report.jsonl" \
         --report-interval-ms 100 > "$TMP/admin.out" 2>&1 &
@@ -242,6 +267,7 @@ for line in open(sys.argv[1]):
   fi
 
   # SIGINT takes the same graceful-drain path.
+  : > "$TMP/listen2.out"
   "$SERVE" "$TMP/g.csr" --listen 0 > "$TMP/listen2.out" 2>&1 &
   LISTEN_PID=$!
   PORT=""

@@ -74,6 +74,22 @@ TEST(Bfs, MatchesReferenceOnRandomGraph) {
   for (int p : {1, 2, 4, 8, 64}) EXPECT_EQ(bfs(csr, 0, p), expect) << "p=" << p;
 }
 
+TEST(Bfs, DirectedRmatMatchesReference) {
+  // Not symmetrised: out-rows only, as pcq and the benchmark traverse them.
+  EdgeList g = graph::rmat(1 << 9, 8000, 0.57, 0.19, 0.19, 71, 4);
+  g.sort(4);
+  g.dedupe();
+  const csr::CsrGraph plain = csr::build_csr_from_sorted(g, 1 << 9, 4);
+  const csr::BitPackedCsr packed = csr::BitPackedCsr::from_csr(plain, 4);
+  for (const VertexId source : {0u, 3u, 200u}) {
+    const auto expect = reference_bfs(plain, source);
+    for (int p : {1, 2, 4, 8, 64}) {
+      EXPECT_EQ(bfs(plain, source, p), expect) << "s=" << source << " p=" << p;
+      EXPECT_EQ(bfs(packed, source, p), expect) << "s=" << source << " p=" << p;
+    }
+  }
+}
+
 TEST(Bfs, PackedMatchesPlain) {
   EdgeList g = graph::rmat(1 << 9, 8000, 0.57, 0.19, 0.19, 67, 4);
   g.symmetrize();

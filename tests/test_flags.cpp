@@ -82,5 +82,20 @@ TEST(FlagsDeathTest, UnknownFlagAborts) {
               "unknown flag");
 }
 
+TEST(Flags, HostPortSplitsAtLastColon) {
+  const HostPort hp = parse_host_port_or_exit("127.0.0.1:65535");
+  EXPECT_EQ(hp.host, "127.0.0.1");
+  EXPECT_EQ(hp.port, 65535);
+  EXPECT_EQ(parse_host_port_or_exit("::1:1").host, "::1");
+}
+
+TEST(FlagsDeathTest, BadHostPortExitsWithUsageError) {
+  for (const char* bad : {"127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0",
+                          "127.0.0.1:", "127.0.0.1:-1", "127.0.0.1:80x",
+                          ":80", "localhost"})
+    EXPECT_EXIT(parse_host_port_or_exit(bad), testing::ExitedWithCode(2),
+                std::string("got '") + bad + "'");
+}
+
 }  // namespace
 }  // namespace pcq::util

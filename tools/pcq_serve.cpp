@@ -113,8 +113,42 @@ void print_metrics(const svc::MetricsSnapshot& m) {
               m.queue_wait_p99_us);
 }
 
-void print_response(const svc::Request& req, const svc::Response& r) {
-  switch (r.status) {
+/// One line-protocol query verb: the svc::QueryKind it names and which
+/// operands follow U.
+struct Verb {
+  const char* op;
+  svc::QueryKind kind;
+  bool takes_v;
+  bool takes_t;
+};
+
+constexpr Verb kVerbs[] = {
+    {"degree", svc::QueryKind::kDegree, false, false},
+    {"n", svc::QueryKind::kNeighbors, false, false},
+    {"e", svc::QueryKind::kEdgeExists, true, false},
+    {"te", svc::QueryKind::kTemporalEdge, true, true},
+    {"tn", svc::QueryKind::kTemporalNeighbors, false, true},
+    {"j", svc::QueryKind::kForemostArrival, true, true},
+    {"add", svc::QueryKind::kAddEdges, true, false},
+    {"del", svc::QueryKind::kRemoveEdges, true, false},
+};
+
+/// Parses the operands of query verb `op` from `in` into `w` (kind, u, v,
+/// t; id and deadline untouched). False when `op` is no query verb or an
+/// operand is missing — the caller answers "? unknown query".
+bool parse_query(const std::string& op, std::istream& in,
+                 net::WireRequest* w) {
+  for (const Verb& verb : kVerbs) {
+    if (op != verb.op) continue;
+    w->kind = static_cast<std::uint8_t>(verb.kind);
+    return static_cast<bool>(in >> w->u) && (!verb.takes_v || in >> w->v) &&
+           (!verb.takes_t || in >> w->t);
+  }
+  return false;
+}
+
+void print_response(const net::WireRequest& req, const net::WireResponse& r) {
+  switch (static_cast<svc::Status>(r.status)) {
     case svc::Status::kRejected: std::printf("rejected\n"); return;
     case svc::Status::kExpired: std::printf("expired\n"); return;
     case svc::Status::kInvalid: std::printf("invalid (out of range)\n"); return;
@@ -124,7 +158,7 @@ void print_response(const svc::Request& req, const svc::Response& r) {
       return;
     case svc::Status::kOk: break;
   }
-  switch (req.kind) {
+  switch (static_cast<svc::QueryKind>(req.kind)) {
     case svc::QueryKind::kDegree:
       std::printf("degree(%u) = %u\n", req.u, r.degree);
       break;
@@ -245,38 +279,14 @@ int run_stdin(svc::QueryService& service) {
       continue;
     }
     if (op == "quit") break;
-    svc::Request req;
-    bool ok = false;
-    if (op == "degree" && (in >> req.u)) {
-      req.kind = svc::QueryKind::kDegree;
-      ok = true;
-    } else if (op == "n" && (in >> req.u)) {
-      req.kind = svc::QueryKind::kNeighbors;
-      ok = true;
-    } else if (op == "e" && (in >> req.u >> req.v)) {
-      req.kind = svc::QueryKind::kEdgeExists;
-      ok = true;
-    } else if (op == "te" && (in >> req.u >> req.v >> req.t)) {
-      req.kind = svc::QueryKind::kTemporalEdge;
-      ok = true;
-    } else if (op == "tn" && (in >> req.u >> req.t)) {
-      req.kind = svc::QueryKind::kTemporalNeighbors;
-      ok = true;
-    } else if (op == "j" && (in >> req.u >> req.v >> req.t)) {
-      req.kind = svc::QueryKind::kForemostArrival;
-      ok = true;
-    } else if (op == "add" && (in >> req.u >> req.v)) {
-      req.kind = svc::QueryKind::kAddEdges;
-      ok = true;
-    } else if (op == "del" && (in >> req.u >> req.v)) {
-      req.kind = svc::QueryKind::kRemoveEdges;
-      ok = true;
-    }
-    if (!ok) {
+    net::WireRequest w;
+    if (!parse_query(op, in, &w)) {
       std::printf("? unknown query '%s'\n", line.c_str());
       continue;
     }
-    print_response(req, service.submit(req).get());
+    const svc::Request req = net::to_service_request(w, svc::Clock::now());
+    print_response(w,
+                   net::from_service_response(w.id, service.submit(req).get()));
   }
   print_metrics(service.metrics());
   return 0;
@@ -390,15 +400,9 @@ int run_listen(svc::QueryService& service, const util::Flags& flags) {
 /// frames. Lock-step (one request, one response) — a latency-measuring
 /// pipelined client lives in bench_svc --mode net.
 int run_connect(const std::string& target) {
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "error: --connect wants HOST:PORT\n");
-    return 2;
-  }
+  const util::HostPort remote = util::parse_host_port_or_exit(target);
   net::Client client;
-  client.connect(target.substr(0, colon),
-                 static_cast<std::uint16_t>(
-                     std::stoul(target.substr(colon + 1))));
+  client.connect(remote.host, remote.port);
   std::uint64_t next_id = 1;
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -408,8 +412,6 @@ int run_connect(const std::string& target) {
     if (op == "quit") break;
     net::WireRequest w;
     w.id = next_id++;
-    svc::Request req;  // mirrors the wire request for print_response
-    bool ok = false;
     if (op == "shutdown") {
       w.kind = net::kShutdownKind;
       client.send_request(w);
@@ -418,52 +420,18 @@ int run_connect(const std::string& target) {
           resp.status == static_cast<std::uint8_t>(svc::Status::kOk))
         std::printf("shutdown acknowledged, server draining\n");
       break;
-    } else if (op == "degree" && (in >> w.u)) {
-      req.kind = svc::QueryKind::kDegree;
-      ok = true;
-    } else if (op == "n" && (in >> w.u)) {
-      req.kind = svc::QueryKind::kNeighbors;
-      ok = true;
-    } else if (op == "e" && (in >> w.u >> w.v)) {
-      req.kind = svc::QueryKind::kEdgeExists;
-      ok = true;
-    } else if (op == "te" && (in >> w.u >> w.v >> w.t)) {
-      req.kind = svc::QueryKind::kTemporalEdge;
-      ok = true;
-    } else if (op == "tn" && (in >> w.u >> w.t)) {
-      req.kind = svc::QueryKind::kTemporalNeighbors;
-      ok = true;
-    } else if (op == "j" && (in >> w.u >> w.v >> w.t)) {
-      req.kind = svc::QueryKind::kForemostArrival;
-      ok = true;
-    } else if (op == "add" && (in >> w.u >> w.v)) {
-      req.kind = svc::QueryKind::kAddEdges;
-      ok = true;
-    } else if (op == "del" && (in >> w.u >> w.v)) {
-      req.kind = svc::QueryKind::kRemoveEdges;
-      ok = true;
     }
-    if (!ok) {
+    if (!parse_query(op, in, &w)) {
       std::printf("? unknown query '%s'\n", line.c_str());
       continue;
     }
-    w.kind = static_cast<std::uint8_t>(req.kind);
-    req.u = w.u;
-    req.v = w.v;
-    req.t = w.t;
     client.send_request(w);
     net::WireResponse resp;
     if (!client.read_response(&resp)) {
       std::fprintf(stderr, "error: server closed the connection\n");
       return 3;
     }
-    svc::Response r;
-    r.status = static_cast<svc::Status>(resp.status);
-    r.exists = resp.exists != 0;
-    r.degree = resp.degree;
-    r.arrival = resp.arrival;
-    r.neighbors.assign(resp.neighbors.begin(), resp.neighbors.end());
-    print_response(req, r);
+    print_response(w, resp);
   }
   return 0;
 }

@@ -196,16 +196,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& target = pos[0];
-  const std::size_t colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "error: expected HOST:PORT, got %s\n",
-                 target.c_str());
-    return 2;
-  }
-  const std::string host = target.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::strtoul(target.c_str() + colon + 1,
-                                              nullptr, 10));
+  const auto [host, port] = pcq::util::parse_host_port_or_exit(target);
 
   if (flags.has("scrape")) {
     std::string body;
