@@ -11,9 +11,10 @@
 //
 // The headline experiment (--mode compare, the default) runs the open-loop
 // generator twice at the same offered rate and thread count: once with
-// micro-batching disabled (max_batch = 1, zero window — every request pays
-// the full wake/dispatch cost) and once with the adaptive micro-batching
-// config. The ratio of sustained completed QPS is the batching win.
+// micro-batching disabled (max_batch = 1 — every request pays the full
+// wake/dispatch cost) and once with the micro-batching config, whose
+// batches take whatever queued up while the previous one ran. The ratio of
+// sustained completed QPS is the batching win.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -63,7 +64,6 @@ struct BenchConfig {
   int shards = 1;
   std::size_t queue = 4096;  ///< per-shard queue bound
   std::size_t max_batch = 256;
-  long window_us = 200;
   int kernel_threads = 1;
   TimeFrame frames = 0;  ///< > 0 builds a TCSR and mixes in temporal kinds
   std::uint64_t seed = 42;
@@ -642,15 +642,15 @@ int emit_outputs(const pcq::util::Flags& flags, const BenchConfig& cfg,
         buf, sizeof buf,
         "\"config\":{\"nodes\":%llu,\"edges\":%llu,\"requests\":%llu,"
         "\"rate\":%.1f,\"outstanding\":%llu,\"shards\":%d,\"queue\":%llu,"
-        "\"max_batch\":%llu,\"window_us\":%ld,\"kernel_threads\":%d,"
+        "\"max_batch\":%llu,\"kernel_threads\":%d,"
         "\"frames\":%llu,\"seed\":%llu,",
         static_cast<unsigned long long>(cfg.nodes),
         static_cast<unsigned long long>(cfg.edges),
         static_cast<unsigned long long>(cfg.requests), cfg.rate,
         static_cast<unsigned long long>(cfg.outstanding), cfg.shards,
         static_cast<unsigned long long>(cfg.queue),
-        static_cast<unsigned long long>(cfg.max_batch), cfg.window_us,
-        cfg.kernel_threads, static_cast<unsigned long long>(cfg.frames),
+        static_cast<unsigned long long>(cfg.max_batch), cfg.kernel_threads,
+        static_cast<unsigned long long>(cfg.frames),
         static_cast<unsigned long long>(cfg.seed));
     out << buf;
     std::snprintf(
@@ -739,7 +739,6 @@ int main(int argc, char** argv) {
           {"shards", "service shards (default 1)"},
           {"queue", "per-shard queue bound (default 4096)"},
           {"batch", "max_batch for the batched config (default 256)"},
-          {"window-us", "batch window in microseconds (default 200)"},
           {"kernel-threads", "threads per batch-kernel call (default 1)"},
           {"frames", "TCSR frames; 0 = static-only workload (default 0)"},
           {"seed", "workload seed (default 42)"},
@@ -777,7 +776,6 @@ int main(int argc, char** argv) {
   cfg.queue = static_cast<std::size_t>(flags.get_int("queue", cfg.queue));
   cfg.max_batch =
       static_cast<std::size_t>(flags.get_int("batch", cfg.max_batch));
-  cfg.window_us = flags.get_int("window-us", cfg.window_us);
   cfg.kernel_threads =
       static_cast<int>(flags.get_int("kernel-threads", cfg.kernel_threads));
   cfg.frames = static_cast<TimeFrame>(flags.get_int("frames", cfg.frames));
@@ -879,14 +877,10 @@ int main(int argc, char** argv) {
   batched.shards = cfg.shards;
   batched.queue_capacity = cfg.queue;
   batched.max_batch = cfg.max_batch;
-  batched.batch_window = std::chrono::microseconds(cfg.window_us);
-  batched.adaptive_window = true;
   batched.kernel_threads = cfg.kernel_threads;
 
   ServiceConfig single = batched;
   single.max_batch = 1;
-  single.batch_window = std::chrono::microseconds(0);
-  single.adaptive_window = false;
 
   if (cfg.mode == "calibrate") {
     report("client loopback", run_calibration(reqs));
@@ -1030,7 +1024,7 @@ int main(int argc, char** argv) {
     return emit_outputs(flags, cfg, runs);
   }
 
-  // compare: identical open-loop offered load, single-dispatch vs adaptive
+  // compare: identical open-loop offered load, single dispatch vs
   // micro-batching, same shard/thread budget.
   RunResult single_run, batched_run;
   {
@@ -1042,7 +1036,7 @@ int main(int argc, char** argv) {
     batched_run = run_open_loop(service, reqs, cfg.rate, cfg.seed + 7);
   }
   report("single dispatch", single_run);
-  report("adaptive micro-batch", batched_run);
+  report("micro-batch", batched_run);
   const double ratio =
       batched_run.sustained_qps / std::max(single_run.sustained_qps, 1e-9);
   std::printf("batching speedup: %.2fx sustained QPS\n", ratio);

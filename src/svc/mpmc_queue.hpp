@@ -4,17 +4,18 @@
 // Producers (any number of client threads) push single requests and are
 // never blocked: a full queue rejects the push, which is the service's
 // backpressure signal (admission control rather than unbounded buffering).
-// Consumers pop *batches*: pop_batch blocks for the first element, then
-// keeps gathering until either `max_items` are collected or `batch_window`
-// has elapsed since the first pop — the "flush on batch-size OR deadline,
-// whichever first" rule. A mutex+condvar ring keeps every path TSan-clean
-// under the std::thread backend; the hot-path cost is one uncontended
-// lock per push and ~one per popped batch. The locking discipline is
-// capability-annotated (util/thread_annotations.hpp), so the
+// Consumers pop *batches*: pop_batch blocks until the ring holds an
+// element, then takes whatever is queued, up to `max_items`, and returns
+// at once. There is no timer: a batch holds exactly the backlog that built
+// up while its consumer was busy, so it grows with load and an idle queue
+// hands over a single request without delay. A mutex+condvar ring keeps
+// every path TSan-clean under the std::thread backend; the hot-path cost
+// is one uncontended lock per push and one per popped batch. The locking
+// discipline is capability-annotated (util/thread_annotations.hpp), so the
 // `thread-safety` preset proves every ring access holds mu_.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -46,43 +47,22 @@ class BoundedMpmcQueue {
     return true;
   }
 
-  /// Pops up to `max_items` into `out` (appended). Blocks up to
-  /// `wait_for_first` for the first element; once one arrives, gathers
-  /// more until `out` holds `max_items` or `batch_window` has elapsed
-  /// since the first pop. Returns the number of items appended; 0 after
-  /// `wait_for_first` expires with nothing queued (spurious-wakeup safe).
-  /// After close(), drains whatever is queued and then always returns 0.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items,
-                        std::chrono::microseconds wait_for_first,
-                        std::chrono::microseconds batch_window) {
+  /// Pops up to `max_items` into `out` (appended): blocks until an element
+  /// is queued, then takes what the ring holds, up to `max_items`, without
+  /// waiting for more. Returns the number of items appended — 0 only once
+  /// the queue is closed and drained; a close() wakes a blocked consumer.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
     PCQ_CHECK(max_items > 0);
-    std::size_t taken = 0;
     util::MutexLock lock(mu_);
     // Explicit predicate loop (not a wait lambda) so the guarded reads sit
-    // in the scope that holds the capability; a timeout re-checks once —
-    // the notify may have landed just as the deadline expired.
-    const auto first_deadline =
-        std::chrono::steady_clock::now() + wait_for_first;
-    while (count_ == 0 && !closed_) {
-      if (cv_.wait_until(lock, first_deadline) == std::cv_status::timeout) {
-        if (count_ == 0 && !closed_) return 0;
-        break;
-      }
+    // in the scope that holds the capability; spurious wakeups re-check.
+    while (count_ == 0 && !closed_) cv_.wait(lock);
+    const std::size_t taken = std::min(count_, max_items);
+    for (std::size_t i = 0; i < taken; ++i) {
+      out.push_back(std::move(ring_[head_]));
+      head_ = (head_ + 1) & mask_;
     }
-    if (count_ == 0) return 0;  // closed and drained
-    const auto flush_at = std::chrono::steady_clock::now() + batch_window;
-    for (;;) {
-      while (count_ > 0 && taken < max_items) {
-        out.push_back(std::move(ring_[head_]));
-        head_ = (head_ + 1) & mask_;
-        --count_;
-        ++taken;
-      }
-      if (taken >= max_items || closed_) break;
-      if (cv_.wait_until(lock, flush_at) == std::cv_status::timeout &&
-          count_ == 0 && !closed_)
-        break;  // window expired — flush what we have
-    }
+    count_ -= taken;
     return taken;
   }
 
@@ -93,11 +73,6 @@ class BoundedMpmcQueue {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    util::MutexLock lock(mu_);
-    return closed_;
   }
 
   [[nodiscard]] std::size_t size() const {

@@ -20,10 +20,6 @@ using graph::VertexId;
 
 namespace {
 
-/// How long an idle worker sleeps before re-checking for shutdown. Purely
-/// a shutdown-latency bound — requests wake the worker immediately.
-constexpr std::chrono::microseconds kIdleWait{50'000};
-
 std::uint64_t to_us(std::chrono::nanoseconds ns) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(ns).count());
@@ -159,27 +155,23 @@ void QueryService::complete(Shard& shard, Pending& pending,
 }
 
 void QueryService::shard_loop(Shard& shard) {
-  auto window = config_.batch_window;
   std::vector<Pending> batch;
   batch.reserve(config_.max_batch);
   // Registry references are stable for the registry's lifetime, so the
   // mutex-guarded name lookup happens once per shard, not per batch.
+  // "deadline" is the series' historical name: it counts the batches that
+  // left below max_batch because the ring ran empty.
   obs::Counter& flush_size =
       obs::MetricsRegistry::global().counter("svc.flush.size");
   obs::Counter& flush_deadline =
       obs::MetricsRegistry::global().counter("svc.flush.deadline");
   for (;;) {
     batch.clear();
-    // The dequeue span is recorded only for waits that yielded a batch;
-    // idle 50 ms shutdown-poll waits would otherwise dominate the trace.
     const bool traced = obs::kTraceCompiledIn && obs::trace_enabled();
     const std::uint64_t wait_t0 = traced ? obs::trace_now_ns() : 0;
-    const std::size_t n =
-        shard.queue.pop_batch(batch, config_.max_batch, kIdleWait, window);
-    if (n == 0) {
-      if (shard.queue.closed() && shard.queue.size() == 0) return;
-      continue;
-    }
+    // Natural batching: take whatever queued up while the last batch ran.
+    const std::size_t n = shard.queue.pop_batch(batch, config_.max_batch);
+    if (n == 0) return;  // closed and drained
     if (traced) obs::record_span("svc.dequeue", wait_t0, obs::trace_now_ns(), n);
     shard.metrics.batches.fetch_add(1, std::memory_order_relaxed);
     shard.metrics.batch_size.record(n);
@@ -188,12 +180,6 @@ void QueryService::shard_loop(Shard& shard) {
     else
       flush_deadline.add(1);
     execute_batch(shard, batch);
-    // The shrink half of the controller is what keeps a closed-loop
-    // client with fewer than max_batch outstanding requests from stalling
-    // a full window on every batch, and what gives an idle service
-    // single-request latency; near-full batches restore the window on
-    // their own (see adapt_window for the floor/near-full rationale).
-    if (config_.adaptive_window) window = adapt_window(window, n, config_);
   }
 }
 

@@ -13,22 +13,19 @@
 // job), so shards never share mutable state — the only cross-thread
 // traffic is the queue handoff and the immutable graph reads.
 //
-// Each worker runs the adaptive micro-batching loop: pop a batch (flush
-// on batch-size OR batch-window deadline, whichever first), partition it
-// by query kind, and answer every kind with ONE call into the paper's
-// parallel batch kernels (Algorithms 6/7 for neighbour/edge queries, the
-// temporal variants for TCSR kinds). The batch window adapts to load: a
-// size-triggered flush (full batch) relaxes the window back toward the
-// configured one, a deadline-triggered flush (partial batch) halves it —
-// so a saturated service batches at full size while a lightly-loaded one
-// answers at single-request latency.
+// Each worker runs the micro-batching loop: pop a batch — whatever queued
+// up while the previous batch ran, up to max_batch — partition it by query
+// kind, and answer every kind with ONE call into the paper's parallel
+// batch kernels (Algorithms 6/7 for neighbour/edge queries, the temporal
+// variants for TCSR kinds). No timer holds a batch open, so the batch size
+// follows the backlog: a saturated service batches at max_batch while a
+// lightly loaded one answers each request as it arrives.
 //
 // Backpressure: the queue is bounded and try_push never blocks — a full
 // shard rejects (Status::kRejected). A request whose deadline passes
 // while queued is answered kExpired without touching the graph.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -55,37 +52,16 @@ namespace pcq::svc {
 struct ServiceConfig {
   int shards = 1;                   ///< queues/workers (>= 1)
   std::size_t queue_capacity = 4096;///< per shard; full queue => kRejected
-  std::size_t max_batch = 256;      ///< flush when this many are gathered
-  std::chrono::microseconds batch_window{200};  ///< flush deadline
-  bool adaptive_window = true;      ///< shrink window under light load
+  std::size_t max_batch = 256;      ///< most requests one batch takes
   int kernel_threads = 1;           ///< threads per batch-kernel call
   csr::RowSearch edge_search = csr::RowSearch::kBinary;
   /// Test/CI hook: sleep this long after dispatching each query batch,
   /// before the kernels run, so the added time lands inside the measured
   /// service phase. Deterministically produces slow requests for the
-  /// slow-query log and tail-sampling tests. 0 (the default) = off.
+  /// slow-query log and tail-sampling tests, and holds the worker busy so
+  /// tests can keep requests queued behind it. 0 (the default) = off.
   std::chrono::microseconds debug_kernel_delay{0};
 };
-
-/// One step of the adaptive batch-window controller (pure, so it is
-/// unit-testable without a live service). A near-full batch (>= 7/8 of
-/// max_batch — arrivals are keeping up with the window, even if the exact
-/// size trigger didn't fire) relaxes the window back toward the configured
-/// one; a partial batch means the deadline flushed and the wait was pure
-/// added latency, so the window halves — but never below a 1us floor, or
-/// an idle spell would decay it to a permanent 0 from which a moderately
-/// loaded shard could never re-form batches.
-inline std::chrono::microseconds adapt_window(std::chrono::microseconds window,
-                                              std::size_t batch_size,
-                                              const ServiceConfig& config) {
-  const std::size_t near_full = config.max_batch - config.max_batch / 8;
-  if (batch_size >= near_full) {
-    return std::min(config.batch_window,
-                    window + config.batch_window / 8 +
-                        std::chrono::microseconds{1});
-  }
-  return std::max(window / 2, std::chrono::microseconds{1});
-}
 
 class QueryService {
  public:

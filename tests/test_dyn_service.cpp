@@ -48,7 +48,6 @@ ServiceConfig quick_config(int shards = 2) {
   // Deep enough that the open-loop concurrent test never hits kRejected.
   config.queue_capacity = 16384;
   config.max_batch = 64;
-  config.batch_window = std::chrono::microseconds(100);
   config.kernel_threads = 2;
   return config;
 }

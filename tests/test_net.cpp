@@ -296,14 +296,13 @@ TEST(TcpServer, InvalidOperandsAnswerInvalidFrames) {
 }
 
 TEST(TcpServer, OverloadAnswersRejectedFrames) {
-  // A tiny queue behind a slow window: a pipelined burst must overflow,
+  // A tiny queue behind a slow kernel: a pipelined burst must overflow,
   // and overflow must surface as explicit kRejected frames — one response
   // per request regardless, nothing silently dropped or buffered forever.
   svc::ServiceConfig config;
   config.queue_capacity = 4;
   config.max_batch = 2;
-  config.batch_window = std::chrono::microseconds(50'000);
-  config.adaptive_window = false;
+  config.debug_kernel_delay = std::chrono::microseconds(5'000);
   LiveServer s(config);
   Client client = connect_to(s);
   constexpr std::uint64_t kBurst = 2000;
@@ -379,7 +378,8 @@ TEST(TcpServer, MalformedFrameClosesConnection) {
 TEST(TcpServer, ShutdownFrameDrainsAndExits) {
   svc::ServiceConfig config;
   config.max_batch = 16;
-  config.batch_window = std::chrono::microseconds(5'000);
+  // A slow kernel keeps frames in flight when the shutdown frame lands.
+  config.debug_kernel_delay = std::chrono::microseconds(2'000);
   auto* s = new LiveServer(config);
   Client client = connect_to(*s);
   constexpr std::uint64_t kFrames = 300;
@@ -414,7 +414,7 @@ TEST(TcpServer, RequestStopDrainsInFlightWork) {
   // and flushed before run() returns.
   svc::ServiceConfig config;
   config.max_batch = 32;
-  config.batch_window = std::chrono::microseconds(2'000);
+  config.debug_kernel_delay = std::chrono::microseconds(2'000);
   config.queue_capacity = 4096;
   LiveServer s(config);
   Client client = connect_to(s);

@@ -136,14 +136,12 @@ void check_correctness(ServiceConfig config) {
 TEST(QueryService, AnswersMatchKernels_SingleRequestDispatch) {
   ServiceConfig config;
   config.max_batch = 1;  // degenerate: every request its own batch
-  config.batch_window = std::chrono::microseconds(0);
   check_correctness(config);
 }
 
 TEST(QueryService, AnswersMatchKernels_MicroBatched) {
   ServiceConfig config;
   config.max_batch = 64;
-  config.batch_window = std::chrono::microseconds(200);
   check_correctness(config);
 }
 
@@ -151,7 +149,6 @@ TEST(QueryService, AnswersMatchKernels_ShardedAdaptive) {
   ServiceConfig config;
   config.shards = 4;
   config.max_batch = 32;
-  config.adaptive_window = true;
   check_correctness(config);
 }
 
@@ -235,7 +232,6 @@ TEST(QueryService, ExpiredDeadlineSkipsExecution) {
   const Fixture& f = fixture();
   ServiceConfig config;
   config.max_batch = 8;
-  config.batch_window = std::chrono::microseconds(20'000);
   QueryService service(f.csr, nullptr, config);
   Request r = make(QueryKind::kNeighbors, 1);
   r.deadline = Clock::now() - 1ms;  // already past
@@ -250,10 +246,9 @@ TEST(QueryService, BackpressureRejectsWhenQueueFull) {
   ServiceConfig config;
   config.queue_capacity = 4;
   config.max_batch = 2;
-  // Large window so the single worker drains slowly enough to fill the
+  // A slow kernel so the single worker drains slowly enough to fill the
   // 4-slot queue from a burst.
-  config.batch_window = std::chrono::microseconds(50'000);
-  config.adaptive_window = false;
+  config.debug_kernel_delay = std::chrono::microseconds(5'000);
   QueryService service(f.csr, nullptr, config);
 
   std::atomic<int> callbacks{0};
@@ -277,7 +272,8 @@ TEST(QueryService, StopDrainsQueuedRequests) {
   const Fixture& f = fixture();
   ServiceConfig config;
   config.max_batch = 16;
-  config.batch_window = std::chrono::microseconds(5'000);
+  // A slow kernel keeps most of the burst queued when stop() closes.
+  config.debug_kernel_delay = std::chrono::microseconds(2'000);
   QueryService service(f.csr, nullptr, config);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 200; ++i)
@@ -293,7 +289,6 @@ TEST(QueryService, MetricsRecordBatchSizes) {
   const Fixture& f = fixture();
   ServiceConfig config;
   config.max_batch = 32;
-  config.batch_window = std::chrono::microseconds(2'000);
   QueryService service(f.csr, nullptr, config);
   run_all(service, std::vector<Request>(500, make(QueryKind::kDegree, 3)));
   const MetricsSnapshot m = service.metrics();
@@ -301,6 +296,34 @@ TEST(QueryService, MetricsRecordBatchSizes) {
   EXPECT_GE(m.mean_batch_size, 1.0);
   EXPECT_GT(m.qps, 0.0);
   EXPECT_GE(m.latency_p99_us, m.latency_p50_us);
+}
+
+// Batching under backlog needs no window: requests that queue up while the
+// worker is busy leave in full batches. The worker is held in its first
+// batch while 100 requests queue behind it; they must then take exactly
+// ceil(100 / max_batch) further batches.
+TEST(QueryService, BacklogDrainsInFullBatches) {
+  const Fixture& f = fixture();
+  ServiceConfig config;
+  config.max_batch = 40;
+  config.debug_kernel_delay = std::chrono::microseconds(150'000);
+  QueryService service(f.csr, nullptr, config);
+  std::future<Response> first = service.submit(make(QueryKind::kDegree, 0));
+  while (service.metrics().batches == 0) std::this_thread::sleep_for(100us);
+
+  constexpr std::size_t kBacklog = 100;
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < kBacklog; ++i)
+    futures.push_back(service.submit(
+        make(QueryKind::kDegree, static_cast<VertexId>(i))));
+  // All 100 must still be queued for the batch count below to be exact.
+  ASSERT_EQ(service.queue_depths().at(0), kBacklog);
+
+  EXPECT_EQ(first.get().status, Status::kOk);
+  for (auto& fut : futures) EXPECT_EQ(fut.get().status, Status::kOk);
+  const std::size_t further =
+      (kBacklog + config.max_batch - 1) / config.max_batch;
+  EXPECT_EQ(service.metrics().batches, 1 + further);
 }
 
 // TSan target: many client threads hammering a sharded service.

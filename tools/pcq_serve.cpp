@@ -5,7 +5,7 @@
 // metrics block on exit; --listen prints the drain summary as well.
 //
 //   pcq_serve <g.csr> [--tcsr h.tcsr] [--dynamic] [--shards N] [--batch N]
-//             [--window-us W] [--kernel-threads N] [--demo N]
+//             [--kernel-threads N] [--demo N]
 //             [--mmap] [--warm] [--validate] [--listen PORT]
 //   pcq_serve --connect HOST:PORT
 //
@@ -446,7 +446,6 @@ int main(int argc, char** argv) {
                    "the wire mutation kinds)"},
        {"shards", "shared-nothing shards (default 1)"},
        {"batch", "max requests per dispatched batch (default 256)"},
-       {"window-us", "micro-batch flush window in microseconds (default 200)"},
        {"kernel-threads", "threads per batch-kernel call (default 1)"},
        {"demo", "run N random queries instead of reading stdin"},
        {"mmap", "serve from memory-mapped files (zero payload copies)"},
@@ -554,8 +553,6 @@ int main(int argc, char** argv) {
     config.shards = static_cast<int>(flags.get_int("shards", 1));
     config.max_batch =
         static_cast<std::size_t>(flags.get_int("batch", 256));
-    config.batch_window =
-        std::chrono::microseconds(flags.get_int("window-us", 200));
     config.kernel_threads =
         static_cast<int>(flags.get_int("kernel-threads", 1));
     config.debug_kernel_delay =
