@@ -145,8 +145,8 @@ struct RunResult {
   double drain_qps = 0;
   pcq::bench::LatencySummary client_latency_us;  ///< submit -> callback
   pcq::svc::MetricsSnapshot service;
-  /// --mode mixed only: kOk completions and sampled client latency, split
-  /// by polarity (reads vs kAddEdges/kRemoveEdges mutations).
+  /// Admitted requests and sampled client latency, split by polarity
+  /// (reads vs kAddEdges/kRemoveEdges mutations); --mode mixed prints them.
   std::uint64_t reads_completed = 0;
   std::uint64_t writes_completed = 0;
   pcq::bench::LatencySummary read_latency_us;
@@ -162,8 +162,8 @@ void spin_until_done(const std::atomic<std::uint64_t>& done,
 /// Completion-side state shared by every request of a run. Callbacks
 /// capture only {ctx, slot} (16 trivially-copyable bytes) so std::function
 /// stores them inline — a heap allocation per request would otherwise
-/// dominate the per-request cost on this single-core box and mask the
-/// dispatch overhead the experiment isolates.
+/// dominate the per-request cost and mask the dispatch overhead the
+/// experiment isolates.
 struct ClientCtx {
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::int64_t> in_flight{0};
@@ -190,74 +190,12 @@ RunResult finish_run(pcq::svc::QueryService& service, ClientCtx& ctx,
 /// Open loop: submit request i at start + Σ exponential gaps, never waiting
 /// for completions. rate == 0 degenerates to back-to-back submission, which
 /// measures saturated throughput with the queue bound as the only brake.
+/// Sampled latencies carry the request's polarity, so a mixed read/write
+/// run reports the read tail separately from the mutation stream hitting
+/// the same shards.
 RunResult run_open_loop(pcq::svc::QueryService& service,
                         const std::vector<Request>& reqs, double rate,
                         std::uint64_t seed) {
-  RunResult result;
-  result.offered_qps = rate;
-  pcq::util::SplitMix64 rng(seed);
-  ClientCtx ctx;
-  const std::size_t samples = reqs.size() / kSampleStride + 1;
-  ctx.stamps.resize(samples);
-  ctx.latencies_us.assign(samples, -1.0);
-  std::uint64_t accepted = 0;
-
-  const auto start = pcq::svc::Clock::now();
-  auto next_arrival = start;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (rate > 0) {
-      const double gap_s = -std::log(1.0 - rng.next_double()) / rate;
-      next_arrival += std::chrono::nanoseconds(
-          static_cast<std::int64_t>(gap_s * 1e9));
-      while (pcq::svc::Clock::now() < next_arrival) {
-        // Arrival gaps are sub-scheduler-quantum: yield so the service
-        // worker (sharing this core) can run, but never sleep.
-        std::this_thread::yield();
-      }
-    }
-    const std::uint32_t slot = i % kSampleStride == 0
-                                   ? static_cast<std::uint32_t>(i /
-                                                                kSampleStride)
-                                   : kUnsampled;
-    if (slot != kUnsampled) ctx.stamps[slot] = pcq::svc::Clock::now();
-    ClientCtx* c = &ctx;
-    const bool ok = service.submit(reqs[i], [c, slot](Response&&) {
-      if (slot != kUnsampled)
-        c->latencies_us[slot] = std::chrono::duration<double, std::micro>(
-                                    pcq::svc::Clock::now() - c->stamps[slot])
-                                    .count();
-      c->done.fetch_add(1, std::memory_order_release);
-    });
-    if (ok)
-      ++accepted;
-    else
-      ++result.rejected;
-  }
-  const auto submit_end = pcq::svc::Clock::now();
-  const std::uint64_t done_at_submit_end =
-      ctx.done.load(std::memory_order_acquire);
-  spin_until_done(ctx.done, accepted);
-  const auto end = pcq::svc::Clock::now();
-  result.elapsed_s = std::chrono::duration<double>(end - start).count();
-  result.completed = accepted;
-  result.sustained_qps =
-      static_cast<double>(accepted) / std::max(result.elapsed_s, 1e-9);
-  result.drain_completed = accepted - done_at_submit_end;
-  const double drain_s =
-      std::chrono::duration<double>(end - submit_end).count();
-  result.drain_qps = drain_s > 1e-9
-                         ? static_cast<double>(result.drain_completed) / drain_s
-                         : 0.0;
-  return finish_run(service, ctx, std::move(result));
-}
-
-/// Open-loop mixed read/write run: identical arrival process to
-/// run_open_loop, but sampled latencies carry the request's polarity so the
-/// read tail can be reported separately from (and concurrent with) the
-/// mutation stream hitting the same shards.
-RunResult run_mixed_open_loop(pcq::svc::QueryService& service,
-                              const std::vector<Request>& reqs, double rate,
-                              std::uint64_t seed) {
   RunResult result;
   result.offered_qps = rate;
   pcq::util::SplitMix64 rng(seed);
@@ -273,9 +211,13 @@ RunResult run_mixed_open_loop(pcq::svc::QueryService& service,
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (rate > 0) {
       const double gap_s = -std::log(1.0 - rng.next_double()) / rate;
-      next_arrival +=
-          std::chrono::nanoseconds(static_cast<std::int64_t>(gap_s * 1e9));
-      while (pcq::svc::Clock::now() < next_arrival) std::this_thread::yield();
+      next_arrival += std::chrono::nanoseconds(
+          static_cast<std::int64_t>(gap_s * 1e9));
+      while (pcq::svc::Clock::now() < next_arrival) {
+        // Arrival gaps are sub-scheduler-quantum: yield so the service
+        // worker (possibly sharing this core) can run, but never sleep.
+        std::this_thread::yield();
+      }
     }
     const bool is_write = pcq::svc::is_mutation_kind(reqs[i].kind);
     const std::uint32_t slot =
@@ -303,12 +245,21 @@ RunResult run_mixed_open_loop(pcq::svc::QueryService& service,
       ++result.rejected;
     }
   }
+  const auto submit_end = pcq::svc::Clock::now();
+  const std::uint64_t done_at_submit_end =
+      ctx.done.load(std::memory_order_acquire);
   spin_until_done(ctx.done, accepted);
-  result.elapsed_s =
-      std::chrono::duration<double>(pcq::svc::Clock::now() - start).count();
+  const auto end = pcq::svc::Clock::now();
+  result.elapsed_s = std::chrono::duration<double>(end - start).count();
   result.completed = accepted;
   result.sustained_qps =
       static_cast<double>(accepted) / std::max(result.elapsed_s, 1e-9);
+  result.drain_completed = accepted - done_at_submit_end;
+  const double drain_s =
+      std::chrono::duration<double>(end - submit_end).count();
+  result.drain_qps = drain_s > 1e-9
+                         ? static_cast<double>(result.drain_completed) / drain_s
+                         : 0.0;
 
   std::vector<double> reads, writes;
   for (std::size_t s = 0; s < samples; ++s) {
@@ -999,7 +950,7 @@ int main(int argc, char** argv) {
       } else {
         pcq::dyn::HybridGraph hybrid(graph);
         pcq::svc::QueryService service(hybrid, history_ptr, batched);
-        r = run_mixed_open_loop(service, mixed, cfg.rate, cfg.seed + 13);
+        r = run_open_loop(service, mixed, cfg.rate, cfg.seed + 13);
         std::fprintf(stderr,
                      "[bench_svc] hybrid after %s: %zu edges, %zu delta "
                      "keys pending\n",

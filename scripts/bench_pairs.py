@@ -5,7 +5,8 @@
         --name natural_batching --workloads serve_read --pairs 10 \
         --first-seed 11 --seconds 10 --trace 0 --out bench/results
 
-Runs N alternating pairs of `python3 pcqbench/run.py` per workload: pair i
+Runs N alternating pairs of `python3 pcqbench/run.py` per workload (a
+`--workloads` entry W:N overrides --pairs for W): pair i
 uses seed first_seed + i and runs the parent first on even i, the change
 first on odd i, so slow drift of the host hits both sides alike. Each
 checkout builds its own copy under its .bench_build/. The result is one
@@ -101,7 +102,8 @@ def main():
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--name", required=True, help="output is BENCH_<name>.json")
-    parser.add_argument("--workloads", default="serve_read,ingest_mixed,build_analytics")
+    parser.add_argument("--workloads", default="serve_read,ingest_mixed,build_analytics",
+                        help="comma-separated; W:N runs N pairs of W")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=10)
@@ -120,9 +122,11 @@ def main():
         "host": {}, "workloads": {},
     }
     ok = True
-    for workload in args.workloads.split(","):
+    for entry in args.workloads.split(","):
+        workload, _, count = entry.partition(":")
+        n_pairs = int(count) if count else args.pairs
         pairs = []
-        for i in range(args.pairs):
+        for i in range(n_pairs):
             seed = args.first_seed + i
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             pair = {}
@@ -135,12 +139,13 @@ def main():
                 ok &= run["correct"] and run["failed"] == 0
                 pair[side] = run
             pairs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} done",
+            print(f"{workload} pair {i + 1}/{n_pairs} seed {seed} done",
                   file=sys.stderr, flush=True)
         metrics = {name: summarise(name, specs[name], pairs)
                    for name in pairs[0]["parent"]["metrics"] if name in specs}
         ok &= all(m["verdict"] != "regression" for m in metrics.values())
-        doc["workloads"][workload] = {"metrics": metrics, "runs": pairs}
+        doc["workloads"][workload] = {"pairs": n_pairs, "metrics": metrics,
+                                      "runs": pairs}
         for name, m in metrics.items():
             print(f"{workload:16} {name:28} parent {m['parent']['median']:12.4g} "
                   f"change {m['change']['median']:12.4g} wins {m['wins']:2}/"

@@ -31,17 +31,17 @@ std::vector<std::vector<graph::VertexId>> batch_neighbors(
     int num_threads);
 
 /// Algorithm 6 into caller-owned storage: out[i] is assigned the neighbour
-/// row of query_nodes[i]. out.size() must equal query_nodes.size(). This is
-/// the serving-layer entry point (pcq::svc): the service owns one response
-/// slot per request and the kernel writes rows straight into them, so a
-/// coalesced batch costs no intermediate result array.
+/// row of query_nodes[i]. out.size() must equal query_nodes.size(). The
+/// caller owns one slot per query and the kernel writes rows straight into
+/// them, so a batch costs no intermediate result array. (pcq::svc reads
+/// through dyn::HybridGraph::View instead, which does the same per-row
+/// work.)
 void batch_neighbors_into(const BitPackedCsr& csr,
                           std::span<const graph::VertexId> query_nodes,
                           std::span<std::vector<graph::VertexId>> out,
                           int num_threads);
 
-/// Degrees of every node in `query_nodes` into caller-owned storage
-/// (the cheapest per-request query the service batches).
+/// Degrees of every node in `query_nodes` into caller-owned storage.
 void batch_degrees_into(const BitPackedCsr& csr,
                         std::span<const graph::VertexId> query_nodes,
                         std::span<std::uint32_t> out, int num_threads);

@@ -50,7 +50,9 @@ void xor_rows(std::span<const graph::VertexId> base_row,
 }  // namespace
 
 bool HybridGraph::View::has_edge(graph::VertexId u, graph::VertexId v) const {
-  return state_->base->has_edge(u, v) != state_->delta.contains(key_of(u, v));
+  const bool in_base = state_->base->has_edge(u, v);
+  if (state_->delta.empty()) return in_base;
+  return in_base != state_->delta.contains(key_of(u, v));
 }
 
 std::uint32_t HybridGraph::View::degree(graph::VertexId u) const {
@@ -77,6 +79,16 @@ std::vector<graph::VertexId> HybridGraph::View::neighbors(
   std::vector<graph::VertexId> out;
   xor_rows(base_row, toggles, out);
   return out;
+}
+
+HybridGraph::View HybridGraph::frozen_view(const csr::BitPackedCsr& base) {
+  auto state = std::make_shared<State>();
+  // Aliasing constructor over an empty owner: a non-owning pointer.
+  state->base = std::shared_ptr<const csr::BitPackedCsr>(
+      std::shared_ptr<const csr::BitPackedCsr>(), &base);
+  state->delta = Cpma().snapshot();
+  state->num_edges = base.num_edges();
+  return View(std::move(state));
 }
 
 HybridGraph::HybridGraph(csr::BitPackedCsr base, Config config)

@@ -103,6 +103,12 @@ class HybridGraph {
   /// Pins the current State (one atomic load; wait-free).
   [[nodiscard]] View view() const { return View(load_state()); }
 
+  /// A View over a caller-owned CSR whose delta is empty and never
+  /// changes: a read-only graph behind the same interface as a live one.
+  /// Neither copies nor owns `base`, which must outlive the View and all
+  /// its copies; records nothing in the metrics registry.
+  [[nodiscard]] static View frozen_view(const csr::BitPackedCsr& base);
+
   [[nodiscard]] graph::VertexId num_nodes() const {
     return load_state()->base->num_nodes();
   }

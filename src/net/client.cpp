@@ -83,17 +83,18 @@ bool Client::read_response(WireResponse* response) {
         rbuf_.data() + rpos_, rbuf_.size() - rpos_, response, &consumed);
     if (r == DecodeResult::kOk) {
       rpos_ += consumed;
-      if (rpos_ >= rbuf_.size()) {
-        rbuf_.clear();
-        rpos_ = 0;
-      }
       return true;
     }
     if (r == DecodeResult::kError)
       throw IoError("tcp", "malformed response frame");
-    std::uint8_t chunk[64 * 1024];
+    std::uint8_t chunk[kReadChunk];
     const ssize_t got = ::read(fd_, chunk, sizeof chunk);
     if (got > 0) {
+      // Drop the decoded prefix first, so the buffer holds at most one
+      // partial frame plus this chunk however long the stream runs.
+      rbuf_.erase(rbuf_.begin(),
+                  rbuf_.begin() + static_cast<std::ptrdiff_t>(rpos_));
+      rpos_ = 0;
       rbuf_.insert(rbuf_.end(), chunk, chunk + static_cast<std::size_t>(got));
       continue;
     }

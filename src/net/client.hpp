@@ -32,6 +32,13 @@ class Client {
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
+  /// Bytes held in the read buffer, decoded or not. Stays below one read
+  /// chunk (kReadChunk) plus one frame.
+  [[nodiscard]] std::size_t buffered_bytes() const { return rbuf_.size(); }
+
+  /// Most bytes one read() asks the socket for.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
   /// Writes one request frame (blocking until the kernel takes the bytes).
   /// Throws pcq::IoError when the connection broke.
   void send_request(const WireRequest& request);

@@ -3,9 +3,9 @@
 // The paper's Section V algorithms answer *pre-collected* query arrays;
 // a serving layer receives queries one at a time. One Request describes a
 // single query of any supported kind; the service coalesces requests into
-// arrays and hands them to the batch kernels (csr/query.hpp, tcsr/tcsr.hpp),
-// so Algorithms 6/7 become the inner loop of the server instead of a
-// benchmark-only entry point.
+// per-kind batches and answers each batch in one parallel loop — over a
+// pinned dyn::HybridGraph::View for the structural kinds (Algorithms 6/7),
+// over the TCSR (tcsr/tcsr.hpp) for the temporal ones.
 #pragma once
 
 #include <chrono>
@@ -62,7 +62,9 @@ enum class Status : std::uint8_t {
   kRejected,     ///< bounded queue was full, or service already stopped
   kExpired,      ///< deadline passed while queued
   kInvalid,      ///< node/frame out of range for the loaded graph
-  kUnsupported,  ///< temporal query but no TCSR loaded
+  /// Temporal query but no TCSR loaded, or a mutation on a read-only
+  /// (BitPackedCsr) service.
+  kUnsupported,
 };
 
 /// Answer to one Request. Which payload field is meaningful depends on the

@@ -30,20 +30,20 @@ std::uint64_t to_us(std::chrono::nanoseconds ns) {
 QueryService::QueryService(const csr::BitPackedCsr& graph,
                            const tcsr::DifferentialTcsr* history,
                            ServiceConfig config)
-    : static_graph_(&graph), history_(history), config_(config),
-      started_(Clock::now()) {
-  start_workers();
-}
+    : QueryService(nullptr, dyn::HybridGraph::frozen_view(graph), history,
+                   config) {}
 
 QueryService::QueryService(dyn::HybridGraph& graph,
                            const tcsr::DifferentialTcsr* history,
                            ServiceConfig config)
-    : dynamic_(&graph), history_(history), config_(config),
-      started_(Clock::now()) {
-  start_workers();
-}
+    : QueryService(&graph, dyn::HybridGraph::View(), history, config) {}
 
-void QueryService::start_workers() {
+QueryService::QueryService(dyn::HybridGraph* dynamic,
+                           dyn::HybridGraph::View frozen,
+                           const tcsr::DifferentialTcsr* history,
+                           ServiceConfig config)
+    : dynamic_(dynamic), frozen_(std::move(frozen)), history_(history),
+      config_(config), started_(Clock::now()) {
   PCQ_CHECK(config_.shards >= 1);
   PCQ_CHECK(config_.max_batch >= 1);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
@@ -56,13 +56,6 @@ void QueryService::start_workers() {
     Shard* raw = shard.get();
     pool_->submit([this, raw] { shard_loop(*raw); });
   }
-}
-
-graph::VertexId QueryService::num_nodes() const {
-  // Stable across the service's lifetime: compaction swaps the base but
-  // never the node-id space.
-  return dynamic_ != nullptr ? dynamic_->num_nodes()
-                             : static_graph_->num_nodes();
 }
 
 QueryService::~QueryService() { stop(); }
@@ -110,8 +103,8 @@ std::future<Response> QueryService::submit(const Request& request) {
 
 void QueryService::complete(Shard& shard, Pending& pending,
                             Response&& response, Clock::time_point now) {
-  // `now` is sampled once per kind-sweep: every request a kernel call
-  // answers became ready at the same instant (kernel completion), so one
+  // `now` is sampled once per kind-sweep: every request one kind's loop
+  // answers became ready at the same instant (loop completion), so one
   // clock read serves the whole sweep instead of one per request.
   response.latency = now - pending.enqueued;
   const std::uint64_t lat_us = to_us(response.latency);
@@ -190,7 +183,13 @@ void QueryService::execute_batch(Shard& shard, std::vector<Pending>& batch) {
   // thread to split total latency into queue vs. service phases.
   shard.batch_dispatch = now;
   shard.batch_n = batch.size();
-  const VertexId n = num_nodes();
+  // ONE pinned View serves every read in the batch: the same (base, delta)
+  // epoch whatever other shards mutate meanwhile. This shard's own
+  // mutations run after the reads below, so within a batch reads see the
+  // graph as it was before the batch's writes.
+  const dyn::HybridGraph::View view =
+      dynamic_ != nullptr ? dynamic_->view() : frozen_;
+  const VertexId n = view.num_nodes();
   const graph::TimeFrame frames =
       history_ == nullptr ? 0 : history_->num_frames();
 
@@ -254,82 +253,34 @@ void QueryService::execute_batch(Shard& shard, std::vector<Pending>& batch) {
   if (config_.debug_kernel_delay.count() > 0)
     std::this_thread::sleep_for(config_.debug_kernel_delay);
 
-  // The dynamic read path pins ONE View for the whole batch: every read in
-  // the batch sees the same (base, delta) epoch regardless of concurrent
-  // mutations on other shards. This shard's own mutations run after the
-  // reads below, so within a batch reads-before-writes ordering holds too.
-  dyn::HybridGraph::View view;
-  if (dynamic_ != nullptr) view = dynamic_->view();
-
-  if (!degree_ids.empty()) {
-    std::vector<VertexId> nodes(degree_ids.size());
-    for (std::size_t j = 0; j < degree_ids.size(); ++j)
-      nodes[j] = batch[degree_ids[j]].request.u;
-    std::vector<std::uint32_t> degrees(nodes.size());
+  // Each read kind is one parallel loop over its requests, against the
+  // pinned View or the TCSR, then one completion sweep stamped at loop end.
+  const auto answer = [&](const std::vector<std::size_t>& ids,
+                          [[maybe_unused]] const char* span, auto&& read) {
+    if (ids.empty()) return;
+    std::vector<Response> out(ids.size());
     {
-      PCQ_TRACE_SCOPE("svc.kernel.degree", degree_ids.size());
-      if (dynamic_ != nullptr)
-        par::parallel_for(nodes.size(), kt, [&](std::size_t j) {
-          degrees[j] = view.degree(nodes[j]);
-        });
-      else
-        csr::batch_degrees_into(*static_graph_, nodes, degrees, kt);
+      PCQ_TRACE_SCOPE(span, ids.size());
+      par::parallel_for(ids.size(), kt, [&](std::size_t j) {
+        read(batch[ids[j]].request, out[j]);
+      });
     }
     const auto done = Clock::now();
-    for (std::size_t j = 0; j < degree_ids.size(); ++j) {
-      Response r;
-      r.degree = degrees[j];
-      complete(shard, batch[degree_ids[j]], std::move(r), done);
-    }
-  }
-
-  if (!neighbor_ids.empty()) {
-    // Algorithm 6 over the coalesced node array, decoded straight into
-    // caller-owned rows that move into the responses.
-    std::vector<VertexId> nodes(neighbor_ids.size());
-    for (std::size_t j = 0; j < neighbor_ids.size(); ++j)
-      nodes[j] = batch[neighbor_ids[j]].request.u;
-    std::vector<std::vector<VertexId>> rows(nodes.size());
-    {
-      PCQ_TRACE_SCOPE("svc.kernel.neighbors", neighbor_ids.size());
-      if (dynamic_ != nullptr)
-        par::parallel_for(nodes.size(), kt, [&](std::size_t j) {
-          rows[j] = view.neighbors(nodes[j]);
-        });
-      else
-        csr::batch_neighbors_into(*static_graph_, nodes, rows, kt);
-    }
-    const auto done = Clock::now();
-    for (std::size_t j = 0; j < neighbor_ids.size(); ++j) {
-      Response r;
-      r.neighbors = std::move(rows[j]);
-      complete(shard, batch[neighbor_ids[j]], std::move(r), done);
-    }
-  }
-
-  if (!edge_ids.empty()) {
-    // Algorithm 7 over the coalesced edge array.
-    std::vector<graph::Edge> edges(edge_ids.size());
-    for (std::size_t j = 0; j < edge_ids.size(); ++j)
-      edges[j] = {batch[edge_ids[j]].request.u, batch[edge_ids[j]].request.v};
-    std::vector<std::uint8_t> hits(edges.size());
-    {
-      PCQ_TRACE_SCOPE("svc.kernel.edge", edge_ids.size());
-      if (dynamic_ != nullptr)
-        par::parallel_for(edges.size(), kt, [&](std::size_t j) {
-          hits[j] = view.has_edge(edges[j].u, edges[j].v) ? 1 : 0;
-        });
-      else
-        csr::batch_edge_existence_into(*static_graph_, edges, hits, kt,
-                                       config_.edge_search);
-    }
-    const auto done = Clock::now();
-    for (std::size_t j = 0; j < edge_ids.size(); ++j) {
-      Response r;
-      r.exists = hits[j] != 0;
-      complete(shard, batch[edge_ids[j]], std::move(r), done);
-    }
-  }
+    for (std::size_t j = 0; j < ids.size(); ++j)
+      complete(shard, batch[ids[j]], std::move(out[j]), done);
+  };
+  answer(degree_ids, "svc.kernel.degree", [&](const Request& q, Response& r) {
+    r.degree = view.degree(q.u);
+  });
+  // Algorithm 6: u's row decoded straight into its response.
+  answer(neighbor_ids, "svc.kernel.neighbors",
+         [&](const Request& q, Response& r) {
+           r.neighbors = view.neighbors(q.u);
+         });
+  // Algorithm 7 with the paper's suggested binary search of the sorted row.
+  answer(edge_ids, "svc.kernel.edge", [&](const Request& q, Response& r) {
+    r.exists = view.has_edge(q.u, q.v);
+  });
 
   if (!add_ids.empty()) execute_mutations(shard, batch, add_ids, true);
   if (!remove_ids.empty()) execute_mutations(shard, batch, remove_ids, false);
@@ -341,43 +292,13 @@ void QueryService::execute_batch(Shard& shard, std::vector<Pending>& batch) {
     dynamic_->maybe_compact(kt);
   }
 
-  if (!tedge_ids.empty()) {
-    std::vector<tcsr::TemporalEdgeQuery> queries(tedge_ids.size());
-    for (std::size_t j = 0; j < tedge_ids.size(); ++j) {
-      const Request& r = batch[tedge_ids[j]].request;
-      queries[j] = {r.u, r.v, r.t};
-    }
-    std::vector<std::uint8_t> hits;
-    {
-      PCQ_TRACE_SCOPE("svc.kernel.tedge", tedge_ids.size());
-      hits = history_->batch_edge_active(queries, kt);
-    }
-    const auto done = Clock::now();
-    for (std::size_t j = 0; j < tedge_ids.size(); ++j) {
-      Response r;
-      r.exists = hits[j] != 0;
-      complete(shard, batch[tedge_ids[j]], std::move(r), done);
-    }
-  }
-
-  if (!tneighbor_ids.empty()) {
-    std::vector<tcsr::TemporalNodeQuery> queries(tneighbor_ids.size());
-    for (std::size_t j = 0; j < tneighbor_ids.size(); ++j) {
-      const Request& r = batch[tneighbor_ids[j]].request;
-      queries[j] = {r.u, r.t};
-    }
-    std::vector<std::vector<VertexId>> rows;
-    {
-      PCQ_TRACE_SCOPE("svc.kernel.tneighbors", tneighbor_ids.size());
-      rows = history_->batch_neighbors_at(queries, kt);
-    }
-    const auto done = Clock::now();
-    for (std::size_t j = 0; j < tneighbor_ids.size(); ++j) {
-      Response r;
-      r.neighbors = std::move(rows[j]);
-      complete(shard, batch[tneighbor_ids[j]], std::move(r), done);
-    }
-  }
+  answer(tedge_ids, "svc.kernel.tedge", [&](const Request& q, Response& r) {
+    r.exists = history_->edge_active(q.u, q.v, q.t);
+  });
+  answer(tneighbor_ids, "svc.kernel.tneighbors",
+         [&](const Request& q, Response& r) {
+           r.neighbors = history_->neighbors_at(q.u, q.t);
+         });
 
   // Journey queries are whole-graph sweeps (foremost_arrival labels every
   // node), so they don't coalesce into an array kernel — each runs the

@@ -4,8 +4,8 @@
 // Architecture (shared-nothing per shard):
 //
 //   clients ──try_push──► shard 0: [bounded MPMC queue] ──► worker 0 ─┐
-//           ──try_push──► shard 1: [bounded MPMC queue] ──► worker 1 ─┤► batch
-//                ...                                                  │ kernels
+//           ──try_push──► shard 1: [bounded MPMC queue] ──► worker 1 ─┤► pinned
+//                ...                                                  │ View
 //           ──try_push──► shard S: [bounded MPMC queue] ──► worker S ─┘
 //
 // Requests are routed to a shard by hash(u); each shard owns its queue,
@@ -13,13 +13,15 @@
 // job), so shards never share mutable state — the only cross-thread
 // traffic is the queue handoff and the immutable graph reads.
 //
-// Each worker runs the micro-batching loop: pop a batch — whatever queued
-// up while the previous batch ran, up to max_batch — partition it by query
-// kind, and answer every kind with ONE call into the paper's parallel
-// batch kernels (Algorithms 6/7 for neighbour/edge queries, the temporal
-// variants for TCSR kinds). No timer holds a batch open, so the batch size
-// follows the backlog: a saturated service batches at max_batch while a
-// lightly loaded one answers each request as it arrives.
+// One read path: every batch pins one dyn::HybridGraph::View and answers
+// each point read kind with one parallel loop over its requests — degree,
+// the paper's Algorithm 6 row decode and Algorithm 7 (as a packed binary
+// search) against the View, the temporal kinds against the TCSR. A
+// read-only service's View is the caller's CSR with an empty delta
+// (HybridGraph::frozen_view); a live-ingest service pins the HybridGraph's
+// current (base, delta) pair. Each worker pops whatever queued up while
+// the previous batch ran, up to max_batch; no timer holds a batch open, so
+// the batch size follows the backlog.
 //
 // Backpressure: the queue is bounded and try_push never blocks — a full
 // shard rejects (Status::kRejected). A request whose deadline passes
@@ -33,7 +35,7 @@
 #include <vector>
 
 #include "csr/bitpacked_csr.hpp"
-#include "csr/query.hpp"
+#include "dyn/hybrid.hpp"
 #include "svc/metrics.hpp"
 #include "svc/mpmc_queue.hpp"
 #include "svc/request.hpp"
@@ -43,18 +45,13 @@ namespace pcq::par {
 class WorkerPool;
 }
 
-namespace pcq::dyn {
-class HybridGraph;
-}
-
 namespace pcq::svc {
 
 struct ServiceConfig {
   int shards = 1;                   ///< queues/workers (>= 1)
   std::size_t queue_capacity = 4096;///< per shard; full queue => kRejected
   std::size_t max_batch = 256;      ///< most requests one batch takes
-  int kernel_threads = 1;           ///< threads per batch-kernel call
-  csr::RowSearch edge_search = csr::RowSearch::kBinary;
+  int kernel_threads = 1;           ///< threads per kind's loop/kernel call
   /// Test/CI hook: sleep this long after dispatching each query batch,
   /// before the kernels run, so the added time lands inside the measured
   /// service phase. Deterministically produces slow requests for the
@@ -65,15 +62,16 @@ struct ServiceConfig {
 
 class QueryService {
  public:
-  /// `graph` must outlive the service. `history` may be null (temporal
-  /// queries then answer kUnsupported). Mutation kinds answer kUnsupported
-  /// on this read-only form.
+  /// Read-only form: reads go through HybridGraph::frozen_view(graph),
+  /// which borrows `graph` (it must outlive the service). `history` may be
+  /// null (temporal queries then answer kUnsupported). Mutation kinds
+  /// answer kUnsupported on this form.
   QueryService(const csr::BitPackedCsr& graph,
                const tcsr::DifferentialTcsr* history, ServiceConfig config);
 
   /// Live-ingest form: reads AND mutations flow through `graph`'s CPMA
-  /// tier. Reads pin one HybridGraph::View per batch (snapshot-consistent
-  /// against concurrent mutations from other shards); a batch's mutations
+  /// tier. Each batch pins graph.view() (snapshot-consistent against
+  /// concurrent mutations from other shards); a batch's mutations
   /// coalesce into one add_edges/remove_edges call, after which the worker
   /// opportunistically runs the ratio-triggered compaction — readers stay
   /// wait-free throughout, only co-writers block on it.
@@ -110,6 +108,11 @@ class QueryService {
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
 
  private:
+  /// Both public forms delegate here; exactly one of `dynamic` and
+  /// `frozen` is set.
+  QueryService(dyn::HybridGraph* dynamic, dyn::HybridGraph::View frozen,
+               const tcsr::DifferentialTcsr* history, ServiceConfig config);
+
   struct Pending {
     Request request;
     Callback callback;
@@ -135,13 +138,12 @@ class QueryService {
                          const std::vector<std::size_t>& ids, bool add);
   void complete(Shard& shard, Pending& pending, Response&& response,
                 Clock::time_point now);
-  [[nodiscard]] graph::VertexId num_nodes() const;
-  void start_workers();
 
-  /// Exactly one of these is set; the static pair answers reads with the
-  /// batch kernels, the dynamic one through per-batch pinned Views.
-  const csr::BitPackedCsr* static_graph_ = nullptr;
+  /// The live-ingest graph (null on the read-only form, whose mutations
+  /// answer kUnsupported) and the read-only form's View. Every batch pins
+  /// `dynamic_ ? dynamic_->view() : frozen_` and reads only through it.
   dyn::HybridGraph* dynamic_ = nullptr;
+  dyn::HybridGraph::View frozen_;
   const tcsr::DifferentialTcsr* history_;
   ServiceConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -65,6 +65,27 @@ TEST(HybridGraph, StartsAsBase) {
   expect_matches(hybrid, oracle);
 }
 
+// The read-only service's graph: a View over a caller-owned CSR with an
+// empty delta answers exactly as the CSR, which it borrows, not copies.
+TEST(HybridGraph, FrozenViewAnswersAsTheCsr) {
+  const csr::BitPackedCsr base = make_base(21);
+  const HybridGraph::View view = HybridGraph::frozen_view(base);
+  ASSERT_TRUE(view.valid());
+  EXPECT_EQ(&view.base(), &base);
+  EXPECT_TRUE(view.delta().empty());
+  EXPECT_EQ(view.num_nodes(), base.num_nodes());
+  EXPECT_EQ(view.num_edges(), base.num_edges());
+  SplitMix64 rng(21);
+  for (VertexId u = 0; u < base.num_nodes(); ++u) {
+    const std::vector<VertexId> row = base.neighbors(u);
+    ASSERT_EQ(view.neighbors(u), row) << "row " << u;
+    ASSERT_EQ(view.degree(u), base.degree(u)) << "row " << u;
+    for (const VertexId v : row) ASSERT_TRUE(view.has_edge(u, v));
+    const auto v = static_cast<VertexId>(rng.next_below(kNodes));
+    ASSERT_EQ(view.has_edge(u, v), base.has_edge(u, v)) << u << "," << v;
+  }
+}
+
 TEST(HybridGraph, AddAndRemoveBatches) {
   HybridGraph hybrid(make_base(12));
   auto oracle = edge_set(hybrid.view().base());

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -459,6 +461,65 @@ TEST(TcpServer, ManyConcurrentConnections) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(answered.load(), kConns * kPerConn);
   EXPECT_EQ(s.server.stats().accepted.load(), kConns);
+}
+
+// A partial frame at the end of a read must not pin everything decoded
+// before it. A raw server streams ~2.6 MB of 26-byte response frames in
+// one send, so the client's 64 KiB reads end mid-frame; its buffer must
+// stay below one read chunk plus one frame for the whole stream.
+TEST(Client, ReadBufferStaysBoundedWhenReadsEndMidFrame) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  constexpr std::uint64_t kFrames = 100'000;
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    WireResponse w;
+    w.id = i;
+    encode_response(w, stream);
+  }
+  const std::size_t frame = stream.size() / kFrames;
+
+  // Connecting completes against the listen backlog, before accept().
+  Client client;
+  client.connect("127.0.0.1", ntohs(addr.sin_port));
+  std::thread server([listener, &stream] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    std::size_t sent = 0;
+    while (fd >= 0 && sent < stream.size()) {
+      const ssize_t n = ::send(fd, stream.data() + sent, stream.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    if (fd >= 0) ::close(fd);
+  });
+
+  std::uint64_t received = 0;
+  std::size_t peak = 0;
+  WireResponse r;
+  try {
+    while (client.read_response(&r)) {
+      EXPECT_EQ(r.id, received);
+      ++received;
+      peak = std::max(peak, client.buffered_bytes());
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  client.close();  // unblocks the sender if the read loop stopped early
+  server.join();
+  ::close(listener);
+  EXPECT_EQ(received, kFrames);
+  EXPECT_LT(peak, Client::kReadChunk + frame);
 }
 
 #endif  // __linux__

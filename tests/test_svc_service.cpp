@@ -1,7 +1,8 @@
 // End-to-end tests of the pcq::svc batch query service: every query kind
 // must agree with the direct kernel answer for every batching
-// configuration, and the admission-control paths (reject / expire /
-// invalid / unsupported) must answer without touching the graph.
+// configuration and both service forms (read-only CSR, HybridGraph), and
+// the admission-control paths (reject / expire / invalid / unsupported)
+// must answer without touching the graph.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "csr/builder.hpp"
+#include "dyn/hybrid.hpp"
 #include "graph/generators.hpp"
 #include "tcsr/journeys.hpp"
 #include "util/rng.hpp"
@@ -71,11 +73,9 @@ std::vector<Response> run_all(QueryService& service,
   return responses;
 }
 
-/// Every kind answered correctly under the given config.
-void check_correctness(ServiceConfig config) {
+/// Every kind answered by `service` agrees with the direct answer.
+void check_answers(QueryService& service) {
   const Fixture& f = fixture();
-  QueryService service(f.csr, &f.tcsr, config);
-
   util::SplitMix64 rng(17);
   std::vector<Request> requests;
   for (int i = 0; i < 600; ++i) {
@@ -133,6 +133,24 @@ void check_correctness(ServiceConfig config) {
   EXPECT_GE(m.batches, 1u);
 }
 
+/// Every kind answered correctly under the given config, by both service
+/// forms: the read-only CSR, and a HybridGraph over a copy of the same CSR
+/// whose delta stays empty.
+void check_correctness(ServiceConfig config) {
+  const Fixture& f = fixture();
+  {
+    SCOPED_TRACE("read-only CSR");
+    QueryService service(f.csr, &f.tcsr, config);
+    check_answers(service);
+  }
+  {
+    SCOPED_TRACE("HybridGraph, empty delta");
+    dyn::HybridGraph hybrid(f.csr);
+    QueryService service(hybrid, &f.tcsr, config);
+    check_answers(service);
+  }
+}
+
 TEST(QueryService, AnswersMatchKernels_SingleRequestDispatch) {
   ServiceConfig config;
   config.max_batch = 1;  // degenerate: every request its own batch
@@ -156,7 +174,6 @@ TEST(QueryService, AnswersMatchKernels_KernelThreads) {
   ServiceConfig config;
   config.max_batch = 128;
   config.kernel_threads = 4;
-  config.edge_search = csr::RowSearch::kLinear;
   check_correctness(config);
 }
 
