@@ -1,10 +1,12 @@
 // Supplementary bench **S3**: time-evolving CSR (Section IV) —
 // construction scaling over processors, per-phase split, and temporal
-// query latency of the differential TCSR vs the snapshot-sequence and
-// EveLog baselines.
+// query latency (edge_active and neighbors_at) of the differential TCSR
+// vs five baseline structures. All six must return the same
+// neighbors_at rows; the run fails otherwise.
 //
 // Usage: bench_tcsr [--nodes 50000] [--events 500000] [--frames 32]
 //                   [--threads 1,4,8,16,64] [--seed 42]
+#include <algorithm>
 #include <cstdio>
 
 #include "graph/generators.hpp"
@@ -130,6 +132,63 @@ int main(int argc, char** argv) {
   std::printf("  contact index     : %8.2f us/query (%zu active)\n", t_ct, h_ct);
   std::printf("  EdgeLog intervals : %8.2f us/query (%zu active)\n", t_el, h_el);
 
+  // neighbors_at latency on two source draws: the source of a random
+  // event (event-biased, as pcqbench draws them, so hub rows show) and a
+  // uniform node. Every structure must return the differential TCSR's
+  // rows; they are sorted and compared after the timed loop.
+  std::vector<tcsr::TemporalNodeQuery> biased(queries_n);
+  std::vector<tcsr::TemporalNodeQuery> uniform(queries_n);
+  for (std::size_t i = 0; i < queries_n; ++i) {
+    const auto t = static_cast<graph::TimeFrame>(rng.next_below(frames));
+    biased[i] = {events.empty()
+                     ? static_cast<graph::VertexId>(rng.next_below(nodes))
+                     : events.edges()[rng.next_below(events.size())].u,
+                 t};
+    uniform[i] = {static_cast<graph::VertexId>(rng.next_below(nodes)), t};
+  }
+  std::vector<std::vector<graph::VertexId>> reference;
+  std::size_t rows_differing = 0;
+  util::Table rows_table({"structure", "event-biased (us/query)",
+                          "uniform (us/query)", "neighbours",
+                          "rows differing"});
+  auto time_rows = [&](const char* name, auto&& fn) {
+    std::vector<std::vector<graph::VertexId>> rows;
+    rows.reserve(2 * queries_n);
+    double us[2] = {0, 0};
+    for (int draw = 0; draw < 2; ++draw) {
+      const auto& qs = draw == 0 ? biased : uniform;
+      util::Timer timer;
+      for (const auto& q : qs) rows.push_back(fn(q.u, q.t));
+      us[draw] = timer.micros() / static_cast<double>(qs.size());
+    }
+    for (auto& row : rows) std::sort(row.begin(), row.end());
+    if (reference.empty()) reference = rows;
+    std::size_t neighbours = 0, differing = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      neighbours += rows[i].size();
+      differing += rows[i] != reference[i] ? 1 : 0;
+    }
+    rows_differing += differing;
+    rows_table.add_row({name, util::fixed(us[0], 2), util::fixed(us[1], 2),
+                        util::with_commas(neighbours),
+                        std::to_string(differing)});
+  };
+  time_rows("differential TCSR",
+            [&](auto u, auto t) { return tcsr_s.neighbors_at(u, t); });
+  time_rows("snapshot sequence",
+            [&](auto u, auto t) { return snaps.neighbors_at(u, t); });
+  time_rows("EveLog replay",
+            [&](auto u, auto t) { return evelog.neighbors_at(u, t); });
+  time_rows("CAS wavelet index",
+            [&](auto u, auto t) { return cas.neighbors_at(u, t); });
+  time_rows("contact index",
+            [&](auto u, auto t) { return contacts.neighbors_at(u, t); });
+  time_rows("EdgeLog intervals",
+            [&](auto u, auto t) { return edgelog.neighbors_at(u, t); });
+  std::printf("\nneighbors_at latency over %s queries per source draw:\n",
+              util::with_commas(queries_n).c_str());
+  rows_table.print();
+
   // Batch (Algorithm 7/9 analogue) across thread counts.
   std::printf("\nbatch_edge_active (differential TCSR):\n");
   for (int p : threads) {
@@ -154,5 +213,10 @@ int main(int argc, char** argv) {
               util::human_bytes(contacts.size_bytes()).c_str());
   std::printf("  EdgeLog intervals : %10s\n",
               util::human_bytes(edgelog.size_bytes()).c_str());
+  if (rows_differing != 0) {
+    std::fprintf(stderr, "bench_tcsr: %zu neighbors_at rows differ between "
+                         "structures\n", rows_differing);
+    return 1;
+  }
   return 0;
 }

@@ -6,7 +6,9 @@
 // cross-check inside validate_tcsr also runs here, so the parallel
 // prefix-XOR snapshot path gets fuzz coverage on every loader-accepted
 // input. On v3 images the two parsers must agree bit for bit (the
-// differential oracle).
+// differential oracle). On validator-accepted histories the point kernels
+// (neighbors_at, edge_active) must agree with snapshot_at.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -51,6 +53,31 @@ void exercise(const pcq::tcsr::DifferentialTcsr& tcsr) {
     (void)tcsr.edge_active(0, u_last, t_last);
     (void)tcsr.neighbors_at(u_last, t_last);
     (void)tcsr.activity_intervals(0, u_last);
+  }
+
+  // ...and the right ones: for the first nodes at every frame, the point
+  // kernels must agree with the rows of the prefix-XOR snapshot, which
+  // reaches its answer along a separate path. edge_active is asked about
+  // every v that u's rows of frames 0..t hold, active or not.
+  using pcq::graph::TimeFrame;
+  using pcq::graph::VertexId;
+  const VertexId nodes = std::min<VertexId>(tcsr.num_nodes(), 64);
+  for (TimeFrame t = 0; t < tcsr.num_frames(); ++t) {
+    const pcq::csr::CsrGraph snap = tcsr.snapshot_at(t, 1);
+    for (VertexId u = 0; u < nodes; ++u) {
+      const auto want = snap.neighbors(u);
+      const auto got = tcsr.neighbors_at(u, t);
+      PCQ_FUZZ_ASSERT(
+          std::equal(got.begin(), got.end(), want.begin(), want.end()),
+          "neighbors_at disagrees with the snapshot_at row");
+      for (TimeFrame f = 0; f <= t; ++f)
+        for (const std::uint64_t v : tcsr.delta(f).row_cursor(u))
+          PCQ_FUZZ_ASSERT(
+              tcsr.edge_active(u, static_cast<VertexId>(v), t) ==
+                  std::binary_search(want.begin(), want.end(),
+                                     static_cast<VertexId>(v)),
+              "edge_active disagrees with the snapshot_at row");
+    }
   }
 }
 

@@ -1,4 +1,5 @@
-// Parallel LSD radix sort for unsigned 64-bit keys.
+// LSD radix sorts: a parallel one for unsigned 64-bit keys, and a
+// sequential one for 32-bit keys (radix_sort_u32, below).
 //
 // The CSR pipeline's unsorted path is dominated by sorting the edge list;
 // comparison sorting costs O(n log n) while an 8-bit-digit radix sort does
@@ -13,13 +14,17 @@
 // previous by-destination pass if callers compose passes manually.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "par/chunking.hpp"
 #include "par/parallel_for.hpp"
 #include "par/threads.hpp"
+#include "util/check.hpp"
 
 namespace pcq::par {
 
@@ -110,6 +115,51 @@ inline void parallel_radix_sort_u64(std::span<std::uint64_t> v,
                                     int num_threads) {
   parallel_radix_sort(v, num_threads,
                       [](std::uint64_t x) { return x; });
+}
+
+/// Sequential LSD radix sort of `keys`, each below 2^key_bits (key_bits is
+/// clamped to [1, 32]). For the many short arrays one thread sorts in a
+/// row, e.g. one per query: the pass count is ceil(key_bits / 11) and the
+/// digits split key_bits evenly, so 18-bit keys take two 9-bit passes.
+/// Digits are masked, so a key wider than key_bits cannot move a count
+/// index out of its array (it only sorts by its low bits). `scratch` grows
+/// to keys.size() and is reused by later calls.
+inline void radix_sort_u32(std::span<std::uint32_t> keys, unsigned key_bits,
+                           std::vector<std::uint32_t>& scratch) {
+  // Widest digit: two passes cover 22-bit keys, three any 32-bit key, and
+  // a pass's counts (2^11 of them) stay on the stack.
+  constexpr unsigned kMaxDigitBits = 11;
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  PCQ_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                "radix_sort_u32 counts overflow");
+  key_bits = std::clamp(key_bits, 1u, 32u);
+  const unsigned passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit_bits = (key_bits + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+  const std::uint32_t mask = static_cast<std::uint32_t>(buckets - 1);
+  if (scratch.size() < n) scratch.resize(n);
+
+  // Each pass zeroes the `buckets` counts it reads; the rest stay unused.
+  std::array<std::uint32_t, std::size_t{1} << kMaxDigitBits> counts;
+  std::uint32_t* src = keys.data();
+  std::uint32_t* dst = scratch.data();
+  for (unsigned pass = 0; pass < passes; ++pass) {
+    const unsigned shift = pass * digit_bits;
+    std::fill_n(counts.begin(), buckets, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++counts[(src[i] >> shift) & mask];
+    std::uint32_t running = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const std::uint32_t count = counts[b];
+      counts[b] = running;
+      running += count;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      dst[counts[(src[i] >> shift) & mask]++] = src[i];
+    std::swap(src, dst);
+  }
+  // An odd number of passes leaves the result in the scratch buffer.
+  if (src != keys.data()) std::copy_n(src, n, keys.data());
 }
 
 }  // namespace pcq::par

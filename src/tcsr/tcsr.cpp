@@ -1,5 +1,7 @@
 #include "tcsr/tcsr.hpp"
 
+#include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "csr/builder.hpp"
@@ -8,6 +10,7 @@
 #include "par/chunking.hpp"
 #include "par/parallel_for.hpp"
 #include "par/prefix_sum.hpp"
+#include "par/radix_sort.hpp"
 #include "tcsr/frame_builder.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -80,58 +83,117 @@ std::size_t DifferentialTcsr::size_bytes() const {
                          });
 }
 
+namespace {
+
+/// Below this many gathered entries neighbors_at sorts with std::sort:
+/// each radix pass zeroes and scans up to 2^11 counts, which a short
+/// buffer does not repay (measured crossover: 32-64 entries of 18 bits).
+constexpr std::size_t kRadixSortCutoff = 64;
+
+/// Frames whose binary searches edge_active advances together; one
+/// group's probe state stays on the stack whatever the frame count.
+constexpr std::size_t kLockstepFrames = 64;
+
+/// Leaves u's active neighbours at frame t, sorted, in `values`: gathers
+/// u's rows of frames 0..t back to back, sorts them, and keeps each value
+/// that occurs an odd number of times (§IV parity rule). O(S) work for S
+/// gathered entries. `radix` is the radix sort's scratch; both buffers
+/// keep their capacity for the next query.
+void gather_active(const DifferentialTcsr& tcsr, VertexId u, TimeFrame t,
+                   std::vector<VertexId>& values,
+                   std::vector<VertexId>& radix) {
+  PCQ_DCHECK(t < tcsr.num_frames());
+  PCQ_DCHECK_MSG(u < tcsr.num_nodes(),
+                 "temporal query node outside vertex range");
+  values.clear();
+  std::size_t rows = 0;
+  unsigned key_bits = 1;
+  for (TimeFrame f = 0; f <= t; ++f) {
+    const csr::BitPackedCsr& d = tcsr.delta(f);
+    const auto row = d.row_bounds(u);
+    if (row.begin == row.end) continue;
+    const pcq::bits::FixedWidthArray& columns = d.packed_columns();
+    // Checked before the buffer grows: an unvalidated mapped frame's
+    // offsets can be anything.
+    PCQ_CHECK(row.begin < row.end && row.end <= columns.size());
+    const std::size_t at = values.size();
+    values.resize(at + static_cast<std::size_t>(row.end - row.begin));
+    columns.get_range_into(row.begin, values.size() - at, values.data() + at);
+    key_bits = std::max(key_bits, columns.width());
+    ++rows;
+  }
+  // No row or one row is already the answer: validated rows are strictly
+  // increasing.
+  if (rows < 2) return;
+  if (values.size() < kRadixSortCutoff)
+    std::sort(values.begin(), values.end());
+  else
+    pcq::par::radix_sort_u32(values, key_bits, radix);
+  // Equal values are adjacent now; each one cancels the kept copy before
+  // it, so a run of k leaves k mod 2 copies (no branch on run lengths).
+  std::size_t kept = 0;
+  for (const VertexId x : values) {
+    const bool pair = kept > 0 && values[kept - 1] == x;
+    values[kept] = x;  // kept never passes the read position
+    kept = pair ? kept - 1 : kept + 1;
+  }
+  values.resize(kept);
+}
+
+}  // namespace
+
 bool DifferentialTcsr::edge_active(VertexId u, VertexId v, TimeFrame t) const {
   PCQ_DCHECK(t < deltas_.size());
   PCQ_DCHECK_MSG(u < num_nodes_, "temporal query node outside vertex range");
+  // has_edge's binary search on every non-empty row of frames 0..t, but
+  // the searches advance in lockstep: one probe per live row per pass, so
+  // the probes' loads overlap instead of waiting on each other. Active iff
+  // an odd number of rows hold v.
+  struct Probe {
+    const pcq::bits::FixedWidthArray* columns;
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  // Slots [0, live) are written before they are read.
+  std::array<Probe, kLockstepFrames> probes;
   bool active = false;
-  for (TimeFrame f = 0; f <= t; ++f)
-    if (deltas_[f].has_edge(u, v)) active = !active;
+  const std::size_t frames = std::size_t{t} + 1;
+  for (std::size_t first = 0; first < frames; first += kLockstepFrames) {
+    const std::size_t last = std::min(frames, first + kLockstepFrames);
+    std::size_t live = 0;
+    for (std::size_t f = first; f < last; ++f) {
+      const auto row = deltas_[f].row_bounds(u);
+      if (row.begin < row.end)
+        probes[live++] = {&deltas_[f].packed_columns(), row.begin, row.end};
+    }
+    while (live > 0) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < live; ++i) {
+        Probe p = probes[i];
+        const std::uint64_t mid = p.lo + (p.hi - p.lo) / 2;
+        const auto c = static_cast<VertexId>(p.columns->get(mid));
+        if (c == v) {
+          active = !active;
+          continue;
+        }
+        if (c < v)
+          p.lo = mid + 1;
+        else
+          p.hi = mid;
+        if (p.lo < p.hi) probes[kept++] = p;
+      }
+      live = kept;
+    }
+  }
   return active;
 }
 
 std::vector<VertexId> DifferentialTcsr::neighbors_at(VertexId u,
                                                      TimeFrame t) const {
-  PCQ_DCHECK(t < deltas_.size());
-  PCQ_DCHECK_MSG(u < num_nodes_, "temporal query node outside vertex range");
-  // XOR-accumulate u's delta rows: a neighbour toggled an odd number of
-  // times is active. Rows are sorted, so a sorted symmetric-difference
-  // merge keeps the accumulator sorted. The delta row side streams from
-  // the packed columns via RowCursor — only the accumulator is ever
-  // materialised.
-  std::vector<VertexId> active;
-  std::vector<VertexId> merged;
-  for (TimeFrame f = 0; f <= t; ++f) {
-    pcq::bits::RowCursor row = deltas_[f].row_cursor(u);
-    if (row.done()) continue;
-    merged.clear();
-    merged.reserve(active.size() + row.remaining());
-    std::size_t i = 0;
-    auto r = static_cast<VertexId>(row.next());
-    bool row_live = true;
-    while (i < active.size() && row_live) {
-      if (active[i] < r) {
-        merged.push_back(active[i++]);
-      } else {
-        if (r < active[i]) {
-          merged.push_back(r);
-        } else {
-          ++i;  // cancels
-        }
-        if (row.done())
-          row_live = false;
-        else
-          r = static_cast<VertexId>(row.next());
-      }
-    }
-    merged.insert(merged.end(), active.begin() + static_cast<std::ptrdiff_t>(i),
-                  active.end());
-    if (row_live) {
-      merged.push_back(r);
-      while (!row.done()) merged.push_back(static_cast<VertexId>(row.next()));
-    }
-    active.swap(merged);
-  }
-  return active;
+  std::vector<VertexId> values;
+  std::vector<VertexId> radix;
+  gather_active(*this, u, t, values, radix);
+  return values;
 }
 
 std::vector<std::uint8_t> DifferentialTcsr::batch_edge_active(
@@ -152,8 +214,12 @@ std::vector<std::vector<VertexId>> DifferentialTcsr::batch_neighbors_at(
   std::vector<std::vector<VertexId>> result(queries.size());
   pcq::par::parallel_for_chunks(
       queries.size(), num_threads, [&](std::size_t, pcq::par::ChunkRange r) {
-        for (std::size_t i = r.begin; i < r.end; ++i)
-          result[i] = neighbors_at(queries[i].u, queries[i].t);
+        std::vector<VertexId> values;  // one scratch per chunk
+        std::vector<VertexId> radix;
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          gather_active(*this, queries[i].u, queries[i].t, values, radix);
+          result[i].assign(values.begin(), values.end());
+        }
       });
   return result;
 }

@@ -96,11 +96,16 @@ class DifferentialTcsr {
   // --- temporal queries (Section V algorithms lifted to frames) -----------
 
   /// Parity of (u, v) occurrences in delta frames 0..t — active iff odd.
-  /// O(t · log degree) packed binary searches.
+  /// One packed binary search per non-empty row of u, O(log degree) probes
+  /// each; the searches of up to 64 frames advance in lockstep, one probe
+  /// per row per pass, so their loads overlap.
   [[nodiscard]] bool edge_active(graph::VertexId u, graph::VertexId v,
                                  graph::TimeFrame t) const;
 
-  /// Active neighbours of u at frame t: XOR-accumulates u's delta rows.
+  /// Active neighbours of u at frame t, ascending. Decodes u's rows of
+  /// frames 0..t back to back (S entries), sorts them (a radix sort over
+  /// the column width once S is not small) and keeps each value that
+  /// occurs an odd number of times: O(S) work.
   [[nodiscard]] std::vector<graph::VertexId> neighbors_at(
       graph::VertexId u, graph::TimeFrame t) const;
 
@@ -110,7 +115,7 @@ class DifferentialTcsr {
       std::span<const TemporalEdgeQuery> queries, int num_threads) const;
 
   /// Batch form of neighbors_at, parallel over queries (the temporal
-  /// Algorithm 6).
+  /// Algorithm 6); each chunk of queries reuses one set of scratch buffers.
   [[nodiscard]] std::vector<std::vector<graph::VertexId>> batch_neighbors_at(
       std::span<const TemporalNodeQuery> queries, int num_threads) const;
 

@@ -119,5 +119,55 @@ INSTANTIATE_TEST_SUITE_P(
                                                   65'537),
                      testing::Values(1, 2, 3, 4, 8, 16, 64)));
 
+/// radix_sort_u32 at key_bits 8 and 11 (one pass), 12 and 22 (two) and 23
+/// and 32 (three). One scratch buffer serves every input, as it does for
+/// a thread sorting one array per query.
+class RadixSortU32 : public testing::TestWithParam<unsigned> {};
+
+TEST_P(RadixSortU32, MatchesStdSort) {
+  const unsigned bits = GetParam();
+  const std::uint64_t max_key = (std::uint64_t{1} << bits) - 1;
+  const auto top = static_cast<std::uint32_t>(max_key);
+  std::vector<std::uint32_t> scratch;
+  const auto check = [&](std::vector<std::uint32_t> v) {
+    auto expected = v;
+    std::sort(expected.begin(), expected.end());
+    radix_sort_u32(v, bits, scratch);
+    EXPECT_EQ(v, expected) << "bits=" << bits << " n=" << v.size();
+  };
+  check({});
+  check({top});
+  check({top, 0, top, 1, 0, top - 1, 1});
+  pcq::util::SplitMix64 rng(bits);
+  for (std::size_t n : {2, 63, 64, 1000, 5000}) {
+    std::vector<std::uint32_t> v(n);
+    for (auto& x : v)
+      x = static_cast<std::uint32_t>(rng.next_below(max_key + 1));
+    // Duplicates, as a gathered row set holds them.
+    for (std::size_t i = 1; i < n; i += 3) v[i] = v[i - 1];
+    v[n / 2] = top;
+    check(v);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Passes, RadixSortU32,
+                         testing::Values(8u, 11u, 12u, 22u, 23u, 32u));
+
+TEST(RadixSortU32Bounds, WideKeysStayInBounds) {
+  // Keys wider than key_bits sort by their low bits only, and no count
+  // index leaves its array: the output is a permutation of the input.
+  pcq::util::SplitMix64 rng(11);
+  std::vector<std::uint32_t> v(3000);
+  for (auto& x : v) x = static_cast<std::uint32_t>(rng.next());
+  auto expected = v;
+  std::vector<std::uint32_t> scratch;
+  radix_sort_u32(v, 8, scratch);
+  for (std::size_t i = 1; i < v.size(); ++i)
+    ASSERT_LE(v[i - 1] & 0xffu, v[i] & 0xffu);
+  std::sort(v.begin(), v.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(v, expected);
+}
+
 }  // namespace
 }  // namespace pcq::par

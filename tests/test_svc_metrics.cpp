@@ -19,8 +19,9 @@ TEST(LogHistogram, BucketIndexIsMonotoneAndConsistentWithFloor) {
     // The bucket's floor must not exceed the value, and the next bucket's
     // floor must exceed it (within the histogram's range).
     EXPECT_LE(LogHistogram::bucket_floor(idx), v) << v;
-    if (idx + 1 < LogHistogram::kBuckets)
+    if (idx + 1 < LogHistogram::kBuckets) {
       EXPECT_GT(LogHistogram::bucket_floor(idx + 1), v) << v;
+    }
   }
 }
 

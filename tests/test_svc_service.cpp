@@ -123,6 +123,10 @@ void check_answers(QueryService& service) {
         EXPECT_EQ(r.exists, arrivals[q.v] != tcsr::kNeverReached) << i;
         break;
       }
+      case QueryKind::kAddEdges:
+      case QueryKind::kRemoveEdges:
+        ADD_FAILURE() << "read-only mix carried a mutation at " << i;
+        break;
     }
   }
 

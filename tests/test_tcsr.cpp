@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -32,8 +34,18 @@ class TemporalOracle {
 
   std::set<VertexId> neighbors_at(VertexId u, TimeFrame t) const {
     std::set<VertexId> out;
-    for (const auto& [edge, counts] : events_)
-      if (edge.u == u && counts.parity_up_to(t)) out.insert(edge.v);
+    for (auto it = events_.lower_bound({u, 0});
+         it != events_.end() && it->first.u == u; ++it)
+      if (it->second.parity_up_to(t)) out.insert(it->first.v);
+    return out;
+  }
+
+  /// Every v with at least one (u, v) event, ascending.
+  std::vector<VertexId> targets(VertexId u) const {
+    std::vector<VertexId> out;
+    for (auto it = events_.lower_bound({u, 0});
+         it != events_.end() && it->first.u == u; ++it)
+      out.push_back(it->first.v);
     return out;
   }
 
@@ -145,6 +157,137 @@ TEST(DifferentialTcsr, BatchQueriesMatchScalar) {
       EXPECT_EQ(result[i] != 0,
                 tcsr.edge_active(queries[i].u, queries[i].v, queries[i].t));
   }
+}
+
+/// Every temporal point kernel, scalar and batch at p in {1, 2, 4, 8, 64},
+/// must equal the oracle for each of `sources` at every frame. Edge queries
+/// pair a source with up to 16 of the targets its events touched, spread
+/// over them, and with one random node.
+void expect_kernels_match_oracle(const DifferentialTcsr& tcsr,
+                                 const TemporalOracle& oracle,
+                                 const std::vector<VertexId>& sources,
+                                 std::uint64_t seed) {
+  constexpr std::size_t kTargets = 16;
+  pcq::util::SplitMix64 rng(seed);
+  std::vector<TemporalNodeQuery> nodes;
+  std::vector<std::vector<VertexId>> want_rows;
+  std::vector<TemporalEdgeQuery> edges;
+  for (const VertexId u : sources) {
+    const std::vector<VertexId> targets = oracle.targets(u);
+    const std::size_t stride = targets.size() / kTargets + 1;
+    for (TimeFrame t = 0; t < tcsr.num_frames(); ++t) {
+      nodes.push_back({u, t});
+      const std::set<VertexId> active = oracle.neighbors_at(u, t);
+      want_rows.emplace_back(active.begin(), active.end());
+      for (std::size_t k = 0; k < targets.size(); k += stride)
+        edges.push_back({u, targets[k], t});
+      edges.push_back(
+          {u, static_cast<VertexId>(rng.next_below(tcsr.num_nodes())), t});
+    }
+  }
+  std::vector<std::uint8_t> want_hits;
+  for (const auto& q : edges)
+    want_hits.push_back(oracle.edge_active(q.u, q.v, q.t) ? 1 : 0);
+
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    ASSERT_EQ(tcsr.neighbors_at(nodes[i].u, nodes[i].t), want_rows[i])
+        << "u=" << nodes[i].u << " t=" << nodes[i].t;
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    ASSERT_EQ(tcsr.edge_active(edges[i].u, edges[i].v, edges[i].t),
+              want_hits[i] != 0)
+        << edges[i].u << "->" << edges[i].v << " @ " << edges[i].t;
+  for (int p : {1, 2, 4, 8, 64}) {
+    const auto rows = tcsr.batch_neighbors_at(nodes, p);
+    ASSERT_EQ(rows.size(), nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      ASSERT_EQ(rows[i], want_rows[i])
+          << "p=" << p << " u=" << nodes[i].u << " t=" << nodes[i].t;
+    const auto hits = tcsr.batch_edge_active(edges, p);
+    ASSERT_EQ(hits.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i)
+      ASSERT_EQ(hits[i] != 0, want_hits[i] != 0)
+          << "p=" << p << " " << edges[i].u << "->" << edges[i].v << " @ "
+          << edges[i].t;
+  }
+}
+
+TEST(DifferentialTcsr, RmatHubRowsMatchOracleAtEveryFrame) {
+  // 4096 nodes make the columns 12 bits wide, so neighbors_at's radix sort
+  // takes two passes; R-MAT skew gives hubs whose rows, gathered over the
+  // frames, pass its sort cutoff.
+  constexpr VertexId kNodes = 4096;
+  constexpr TimeFrame kFrames = 16;
+  const TemporalEdgeList evs =
+      graph::evolving_graph(kNodes, 60'000, kFrames, 53, 4);
+  const TemporalOracle oracle(evs);
+  const auto tcsr = DifferentialTcsr::build(evs, kNodes, kFrames, 4);
+  ASSERT_EQ(tcsr.delta(0).column_bits(), 12u);
+
+  // The 32 sources with the most events, then 32 random ones.
+  std::vector<std::size_t> events_of(kNodes, 0);
+  for (const TemporalEdge& e : evs.edges()) ++events_of[e.u];
+  std::vector<VertexId> sources(kNodes);
+  std::iota(sources.begin(), sources.end(), VertexId{0});
+  std::partial_sort(sources.begin(), sources.begin() + 32, sources.end(),
+                    [&](VertexId a, VertexId b) {
+                      return events_of[a] > events_of[b];
+                    });
+  sources.resize(32);
+  pcq::util::SplitMix64 rng(57);
+  for (int i = 0; i < 32; ++i)
+    sources.push_back(static_cast<VertexId>(rng.next_below(kNodes)));
+
+  std::size_t hub_gathered = 0;
+  for (TimeFrame t = 0; t < kFrames; ++t)
+    hub_gathered += tcsr.delta(t).degree(sources[0]);
+  EXPECT_GE(hub_gathered, 1000u);
+
+  expect_kernels_match_oracle(tcsr, oracle, sources, 59);
+}
+
+TEST(DifferentialTcsr, LongRowKeepsOddCountsOnly) {
+  // Row 0 gathers 207 entries over frames 0..2, enough for the radix path,
+  // over 12-bit columns. Neighbour 4001 is in frames 0, 1 and 2 (active at
+  // frame 2); 4002 is in frames 0 and 2, 4003 in frames 1 and 2 (both
+  // inactive at frame 2).
+  std::vector<TemporalEdge> evs;
+  std::vector<VertexId> steady;
+  for (VertexId v = 20; v <= 4000; v += 20) {
+    evs.push_back({0, v, 0});
+    steady.push_back(v);
+  }
+  for (TimeFrame t : {0u, 1u, 2u}) evs.push_back({0, 4001, t});
+  for (TimeFrame t : {0u, 2u}) evs.push_back({0, 4002, t});
+  for (TimeFrame t : {1u, 2u}) evs.push_back({0, 4003, t});
+  TemporalEdgeList list(std::move(evs));
+  list.sort(2);
+  const auto tcsr = DifferentialTcsr::build(list, 4096, 3, 2);
+
+  std::vector<VertexId> at1 = steady;
+  at1.insert(at1.end(), {4002, 4003});
+  std::vector<VertexId> at2 = steady;
+  at2.push_back(4001);
+  EXPECT_EQ(tcsr.neighbors_at(0, 1), at1);
+  EXPECT_EQ(tcsr.neighbors_at(0, 2), at2);
+  const std::vector<TemporalNodeQuery> queries{{0, 1}, {0, 2}};
+  EXPECT_EQ(tcsr.batch_neighbors_at(queries, 2),
+            (std::vector<std::vector<VertexId>>{at1, at2}));
+  EXPECT_TRUE(tcsr.edge_active(0, 4001, 2));
+  EXPECT_FALSE(tcsr.edge_active(0, 4002, 2));
+  EXPECT_FALSE(tcsr.edge_active(0, 4003, 2));
+  EXPECT_FALSE(tcsr.edge_active(0, 4001, 1));
+}
+
+TEST(DifferentialTcsr, LongHistoryCrossesLockstepGroups) {
+  // edge_active advances its searches in groups of 64 frames; 130 frames
+  // end in a partial group (frames 128-129).
+  constexpr VertexId kNodes = 48;
+  constexpr TimeFrame kFrames = 130;
+  const TemporalEdgeList evs =
+      graph::evolving_graph(kNodes, 20'000, kFrames, 61, 4);
+  const TemporalOracle oracle(evs);
+  const auto tcsr = DifferentialTcsr::build(evs, kNodes, kFrames, 4);
+  expect_kernels_match_oracle(tcsr, oracle, {0, 1, 2, 5, 17, 29, 40, 47}, 67);
 }
 
 TEST(DifferentialTcsr, AllSnapshotsMatchSnapshotAt) {
