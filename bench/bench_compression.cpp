@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     const graph::GapZetaGraph zeta =
         graph::GapZetaGraph::build_from_sorted(list, n, 3, 0);
     graph::RelabelResult relab = graph::relabel_by_degree(list, n, 0);
-    relab.list.sort_radix(0);
+    relab.list.sort(0);
     const graph::GapZetaGraph zeta_relab =
         graph::GapZetaGraph::build_from_sorted(relab.list, n, 3, 0);
     const graph::K2Tree k2 = graph::K2Tree::build(list, n, 4, 0);

@@ -1,12 +1,35 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "par/radix_sort.hpp"
 #include "par/reduce.hpp"
-#include "par/sort.hpp"
 
 namespace pcq::graph {
+
+namespace {
+
+/// Stable radix sort of `edges` by (u, v) on the key (u << w) | v, where w
+/// is the bit width of the largest v. The key ranks pairs as (u, v)
+/// compares them and fits 64 bits for any 32-bit ids (w <= 32); the radix
+/// sort skips the digits above its top bit, so small ids cost fewer
+/// passes than a fixed u << 32.
+template <typename E>
+void sort_by_source_dest(std::span<E> edges, int num_threads) {
+  const E widest = pcq::par::parallel_reduce(
+      std::span<const E>(edges), E{}, num_threads, [](E acc, const E& e) {
+        acc.v = std::max(acc.v, e.v);
+        return acc;
+      });
+  const int w = std::bit_width(widest.v);
+  pcq::par::parallel_radix_sort(edges, num_threads, [w](const E& e) {
+    return (std::uint64_t{e.u} << w) | e.v;
+  });
+}
+
+}  // namespace
 
 VertexId EdgeList::num_nodes() const {
   if (edges_.empty()) return 0;
@@ -30,14 +53,7 @@ std::size_t EdgeList::text_size_bytes() const {
 }
 
 void EdgeList::sort(int num_threads) {
-  pcq::par::parallel_sort(std::span<Edge>(edges_), num_threads);
-}
-
-void EdgeList::sort_radix(int num_threads) {
-  pcq::par::parallel_radix_sort(
-      std::span<Edge>(edges_), num_threads, [](const Edge& e) {
-        return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
-      });
+  sort_by_source_dest(std::span<Edge>(edges_), num_threads);
 }
 
 bool EdgeList::is_sorted() const {
@@ -84,8 +100,13 @@ TimeFrame TemporalEdgeList::num_frames() const {
 }
 
 void TemporalEdgeList::sort(int num_threads) {
-  pcq::par::parallel_sort(std::span<TemporalEdge>(edges_), num_threads,
-                          TimeSourceOrder{});
+  // Both passes are stable, so sorting by t last keeps (u, v) order
+  // within each frame.
+  const std::span<TemporalEdge> events(edges_);
+  sort_by_source_dest(events, num_threads);
+  pcq::par::parallel_radix_sort(events, num_threads, [](const TemporalEdge& e) {
+    return std::uint64_t{e.t};
+  });
 }
 
 bool TemporalEdgeList::is_sorted() const {

@@ -40,12 +40,9 @@ class EdgeList {
 
   /// Sorts by (u, v) with `num_threads` — the precondition of the parallel
   /// degree computation (Algorithm 2 requires source-sorted chunks).
-  /// Comparison-based parallel merge sort.
+  /// Parallel LSD radix sort on a packed (u, v) key as wide as the ids
+  /// need (see bench_sort).
   void sort(int num_threads);
-
-  /// Same ordering via parallel radix sort on the packed (u, v) key —
-  /// typically faster on large lists (see bench_sort); identical result.
-  void sort_radix(int num_threads);
 
   /// True if sorted by (u, v).
   [[nodiscard]] bool is_sorted() const;
@@ -91,7 +88,8 @@ class TemporalEdgeList {
     return edges_.size() * sizeof(TemporalEdge);
   }
 
-  /// Sorts by (t, u, v) — the §IV input assumption.
+  /// Sorts by (t, u, v) — the §IV input assumption: the (u, v) radix sort
+  /// of EdgeList::sort, then a stable radix pass by t.
   void sort(int num_threads);
 
   [[nodiscard]] bool is_sorted() const;

@@ -67,15 +67,16 @@ void TraceRing::record(const char* name, std::uint64_t start_ns,
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[h & (kCapacity - 1)];
   // Seqlock write: odd seq marks the slot unreadable while the fields
-  // change; the release fence orders the odd mark before the field stores,
-  // the release store orders the field stores before the even mark.
+  // change. Each field store is a release, so a reader whose acquire load
+  // sees a new field value also sees the odd mark; the release store of
+  // the even mark orders the field stores before it. No fences: TSan does
+  // not model them, and on x86-64 these are plain moves either way.
   const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.end_ns.store(end_ns, std::memory_order_relaxed);
-  slot.arg.store(arg, std::memory_order_relaxed);
+  slot.name.store(name, std::memory_order_release);
+  slot.start_ns.store(start_ns, std::memory_order_release);
+  slot.end_ns.store(end_ns, std::memory_order_release);
+  slot.arg.store(arg, std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);
   head_.store(h + 1, std::memory_order_release);
 }
@@ -89,13 +90,14 @@ void TraceRing::drain(std::vector<CollectedSpan>& out) const {
     const Slot& slot = slots_[i & (kCapacity - 1)];
     const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;  // mid-write, will be accounted as overwritten
+    // Acquire field loads: one that sees a newer write's value makes that
+    // write's odd mark visible to the re-check below, which then fails.
     CollectedSpan span;
-    span.name = slot.name.load(std::memory_order_relaxed);
-    span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    span.end_ns = slot.end_ns.load(std::memory_order_relaxed);
-    span.arg = slot.arg.load(std::memory_order_relaxed);
+    span.name = slot.name.load(std::memory_order_acquire);
+    span.start_ns = slot.start_ns.load(std::memory_order_acquire);
+    span.end_ns = slot.end_ns.load(std::memory_order_acquire);
+    span.arg = slot.arg.load(std::memory_order_acquire);
     span.tid = tid_;
-    std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
     if (s1 != s2 || span.name == nullptr) continue;  // torn, skip
     out.push_back(span);

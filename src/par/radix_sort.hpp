@@ -3,15 +3,16 @@
 //
 // The CSR pipeline's unsorted path is dominated by sorting the edge list;
 // comparison sorting costs O(n log n) while an 8-bit-digit radix sort does
-// a fixed 8 passes of counting + scatter, each parallelised with the same
-// chunk/prefix-sum machinery as the rest of the library (per-chunk
-// histograms, exclusive offsets via scan, chunk-private scatter windows).
-// Keys are extracted by a caller-provided projection so graph::Edge sorts
-// by the packed (u, v) pair without materialising keys twice.
+// at most 8 passes of counting + scatter (one per live digit of the
+// largest key), each parallelised with the same chunk/prefix-sum machinery
+// as the rest of the library (per-chunk histograms, exclusive offsets via
+// scan, chunk-private scatter windows). Keys are extracted by a
+// caller-provided projection so graph::Edge sorts by the packed (u, v)
+// pair without materialising keys twice.
 //
 // Stability: each pass is stable (chunk-ordered scatter), so the full sort
-// is stable — required for sorting edges by source while preserving a
-// previous by-destination pass if callers compose passes manually.
+// is stable — TemporalEdgeList::sort relies on it to sort by t after a
+// (u, v) sort and keep (u, v) order within each frame.
 #pragma once
 
 #include <algorithm>

@@ -23,6 +23,27 @@ printf "# comment line\n0 1\n1 2\n2 0\n0 2\n" > "$TMP/g.txt"
 "$PCQ" compress "$TMP/g.bin" --out "$TMP/g2.csr" > /dev/null
 cmp "$TMP/g.csr" "$TMP/g2.csr"
 
+# Packed bytes must not depend on the thread count. The graph above is
+# below every chunking threshold, so these inputs are seeded ~200k-edge and
+# ~200k-event lists (skewed sources give long rows), large enough that
+# every parallel phase, the sort included, splits into many chunks.
+awk 'BEGIN { srand(7); for (i = 0; i < 200000; ++i)
+  printf "%d %d\n", int(50000 * rand() * rand()), int(50000 * rand()) }' \
+    > "$TMP/big.txt"
+awk 'BEGIN { srand(9); for (i = 0; i < 200000; ++i)
+  printf "%d %d %d\n", int(20000 * rand() * rand()), int(20000 * rand()),
+         int(64 * rand()) }' > "$TMP/big_t.txt"
+for threads in 1 3 64; do
+  "$PCQ" compress "$TMP/big.txt" --out "$TMP/big$threads.csr" \
+      --threads "$threads" > /dev/null
+  "$PCQ" tcompress "$TMP/big_t.txt" --out "$TMP/big$threads.tcsr" \
+      --threads "$threads" > /dev/null
+done
+for threads in 3 64; do
+  cmp "$TMP/big1.csr" "$TMP/big$threads.csr"
+  cmp "$TMP/big1.tcsr" "$TMP/big$threads.tcsr"
+done
+
 # Relabeled compression still answers (ids are renumbered, so only check
 # that it runs and reports the same counts).
 "$PCQ" compress "$TMP/g.txt" --out "$TMP/g3.csr" --relabel | grep -q "compressed 3 nodes / 4 edges"

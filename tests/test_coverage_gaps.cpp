@@ -1,5 +1,4 @@
 // Closing coverage gaps found in a final audit:
-//   * EdgeList::sort_radix equivalence with the comparison sort,
 //   * foremost_arrival against an independent time-expanded BFS oracle,
 //   * GapZetaGraph across every legal zeta parameter,
 //   * K2Tree boundary ids at the padding edge,
@@ -26,35 +25,6 @@ using graph::EdgeList;
 using graph::TemporalEdgeList;
 using graph::TimeFrame;
 using graph::VertexId;
-
-TEST(SortRadix, MatchesComparisonSortOnEdgeLists) {
-  for (std::uint64_t seed : {1u, 7u, 19u}) {
-    EdgeList a = graph::rmat(1 << 12, 40'000, 0.57, 0.19, 0.19, seed, 4);
-    EdgeList b = a;
-    a.sort(4);
-    for (int p : {1, 4, 16}) {
-      EdgeList c = b;
-      c.sort_radix(p);
-      ASSERT_EQ(c.size(), a.size());
-      for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(c.edges()[i], a.edges()[i]) << "seed=" << seed << " p=" << p;
-    }
-  }
-}
-
-TEST(SortRadix, LargeIdsUseFullKeyWidth) {
-  // Ids near 2^32 exercise the upper radix digits.
-  EdgeList g;
-  pcq::util::SplitMix64 rng(3);
-  for (int i = 0; i < 5000; ++i)
-    g.push_back({static_cast<VertexId>(rng.next()),
-                 static_cast<VertexId>(rng.next())});
-  EdgeList ref = g;
-  ref.sort(1);
-  g.sort_radix(4);
-  for (std::size_t i = 0; i < g.size(); ++i)
-    ASSERT_EQ(g.edges()[i], ref.edges()[i]);
-}
 
 /// Independent oracle for foremost journeys: explicit per-frame snapshot
 /// adjacency + frame-by-frame closure, written without any pcq machinery

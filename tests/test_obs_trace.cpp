@@ -108,7 +108,7 @@ TEST_F(TraceTest, CollectedSpansAreTimeOrderedPerThread) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([] {
-      for (int i = 0; i < 500; ++i) PCQ_TRACE_SCOPE("ordered", i);
+      for (std::uint64_t i = 0; i < 500; ++i) PCQ_TRACE_SCOPE("ordered", i);
     });
   }
   for (auto& w : writers) w.join();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "graph/edge_list.hpp"
+#include "graph/generators.hpp"
 #include "graph/types.hpp"
 #include "util/rng.hpp"
 
@@ -115,9 +118,159 @@ TEST_P(RadixSortProperty, MatchesStdSort) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RadixSortProperty,
-    testing::Combine(testing::Values<std::size_t>(0, 1, 2, 255, 256, 257, 4096,
-                                                  65'537),
+    testing::Combine(testing::Values<std::size_t>(0, 1, 2, 255, 256, 257, 2047,
+                                                  2048, 2049, 4096, 10'000,
+                                                  65'537, 131'072),
                      testing::Values(1, 2, 3, 4, 8, 16, 64)));
+
+// --- The edge sorters: EdgeList::sort and TemporalEdgeList::sort ----------
+
+using graph::Edge;
+using graph::EdgeList;
+using graph::TemporalEdge;
+using graph::TemporalEdgeList;
+using graph::VertexId;
+
+constexpr int kThreadCounts[] = {1, 2, 3, 4, 8, 16, 64};
+constexpr VertexId kMaxId = std::numeric_limits<VertexId>::max();
+
+/// EdgeList::sort at every p in kThreadCounts equals std::sort.
+void expect_edge_sort_matches_std(const std::vector<Edge>& edges) {
+  auto expected = edges;
+  std::sort(expected.begin(), expected.end());
+  for (int p : kThreadCounts) {
+    EdgeList list(edges);
+    list.sort(p);
+    ASSERT_TRUE(std::ranges::equal(list.edges(), expected))
+        << "n=" << edges.size() << " p=" << p;
+  }
+}
+
+/// TemporalEdgeList::sort at every p in kThreadCounts equals std::sort
+/// with TimeSourceOrder.
+void expect_event_sort_matches_std(const std::vector<TemporalEdge>& events) {
+  auto expected = events;
+  std::sort(expected.begin(), expected.end(), graph::TimeSourceOrder{});
+  for (int p : kThreadCounts) {
+    TemporalEdgeList list(events);
+    list.sort(p);
+    ASSERT_TRUE(std::ranges::equal(list.edges(), expected))
+        << "n=" << events.size() << " p=" << p;
+    ASSERT_TRUE(list.is_sorted());
+  }
+}
+
+/// An id below `bound`, or one of the 64 ids just below 2^32 when `bound`
+/// is 0.
+VertexId draw_id(pcq::util::SplitMix64& rng, std::uint64_t bound) {
+  if (bound == 0) return kMaxId - static_cast<VertexId>(rng.next_below(64));
+  return static_cast<VertexId>(rng.next_below(bound));
+}
+
+TEST(ParallelSort, EmptyAndTiny) {
+  expect_edge_sort_matches_std({});
+  expect_edge_sort_matches_std({{3, 1}});
+  expect_edge_sort_matches_std({{3, 1}, {1, 2}, {2, 0}});
+  expect_event_sort_matches_std({});
+  expect_event_sort_matches_std({{3, 1, 2}, {1, 2, 0}, {2, 0, 1}});
+}
+
+TEST(ParallelSort, AlreadySorted) {
+  std::vector<Edge> edges(10'000);
+  for (VertexId i = 0; i < edges.size(); ++i) edges[i] = {i / 7, i % 7 * 3};
+  expect_edge_sort_matches_std(edges);
+}
+
+TEST(ParallelSort, ReverseSorted) {
+  std::vector<Edge> edges(10'000);
+  for (VertexId i = 0; i < edges.size(); ++i) edges[i] = {i / 7, i % 7 * 3};
+  std::reverse(edges.begin(), edges.end());
+  expect_edge_sort_matches_std(edges);
+}
+
+TEST(ParallelSort, ManyDuplicates) {
+  // 16 distinct edges, ~3000 copies each.
+  pcq::util::SplitMix64 rng(3);
+  std::vector<Edge> edges(50'000);
+  for (auto& e : edges) e = {draw_id(rng, 4), draw_id(rng, 4)};
+  expect_edge_sort_matches_std(edges);
+}
+
+TEST(ParallelSort, EdgeStructOrdering) {
+  pcq::util::SplitMix64 rng(11);
+  std::vector<Edge> edges(30'000);
+  for (auto& e : edges) e = {draw_id(rng, 100), draw_id(rng, 100)};
+  expect_edge_sort_matches_std(edges);
+}
+
+TEST(ParallelSort, TemporalEdgeTimeSourceOrder) {
+  // Small ranges tie many events on t and on (t, u); the ids and frames
+  // near 2^32 fill every digit of both passes' keys.
+  pcq::util::SplitMix64 rng(13);
+  std::vector<TemporalEdge> events(30'000);
+  for (auto& e : events)
+    e = {draw_id(rng, 50), draw_id(rng, 50), draw_id(rng, 20)};
+  expect_event_sort_matches_std(events);
+  for (auto& e : events) {
+    const std::uint64_t bound = rng.next_below(2) == 0 ? 0 : 1ull << 32;
+    e = {draw_id(rng, bound), draw_id(rng, bound), draw_id(rng, bound)};
+  }
+  events.push_back({kMaxId, kMaxId, kMaxId});
+  events.push_back({0, 0, kMaxId});
+  events.push_back({kMaxId, kMaxId, 0});
+  expect_event_sort_matches_std(events);
+}
+
+class ParallelSortProperty
+    : public testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(ParallelSortProperty, MatchesStdSort) {
+  // EdgeList::sort on n edges whose ids grow with n, as a graph's do.
+  const auto [n, threads] = GetParam();
+  pcq::util::SplitMix64 rng(77 + n * 31 + threads);
+  std::vector<Edge> edges(n);
+  for (auto& e : edges) e = {draw_id(rng, 2 * n + 1), draw_id(rng, 2 * n + 1)};
+  auto expected = edges;
+  std::sort(expected.begin(), expected.end());
+  EdgeList list(std::move(edges));
+  list.sort(threads);
+  EXPECT_TRUE(std::ranges::equal(list.edges(), expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ParallelSortProperty,
+    testing::Combine(testing::Values<std::size_t>(0, 1, 2, 100, 2047, 2048,
+                                                  2049, 10'000, 131'072),
+                     testing::Values(1, 2, 3, 4, 8, 16, 64)));
+
+TEST(EdgeListSort, MatchesStdSortOnRmat) {
+  for (std::uint64_t seed : {1u, 7u, 19u}) {
+    const EdgeList g = graph::rmat(1 << 12, 40'000, 0.57, 0.19, 0.19, seed, 4);
+    expect_edge_sort_matches_std({g.edges().begin(), g.edges().end()});
+  }
+}
+
+TEST(EdgeListSort, IdsNear2To32) {
+  // A key width of 32: u fills the key's upper half, v its lower half.
+  pcq::util::SplitMix64 rng(3);
+  std::vector<Edge> edges(5000);
+  for (auto& e : edges) {
+    const std::uint64_t bound = rng.next_below(2) == 0 ? 0 : 1ull << 32;
+    e = {draw_id(rng, bound), draw_id(rng, bound)};
+  }
+  edges.push_back({kMaxId, kMaxId});
+  edges.push_back({kMaxId, 0});
+  edges.push_back({0, kMaxId});
+  expect_edge_sort_matches_std(edges);
+}
+
+TEST(EdgeListSort, AllDestinationsZero) {
+  // Every v = 0 makes the key width 0: the key is u alone.
+  pcq::util::SplitMix64 rng(5);
+  std::vector<Edge> edges(5000);
+  for (auto& e : edges) e = {draw_id(rng, rng.next_below(2) == 0 ? 0 : 300), 0};
+  expect_edge_sort_matches_std(edges);
+}
 
 /// radix_sort_u32 at key_bits 8 and 11 (one pass), 12 and 22 (two) and 23
 /// and 32 (three). One scratch buffer serves every input, as it does for

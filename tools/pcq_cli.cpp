@@ -114,7 +114,7 @@ int cmd_compress(const util::Flags& flags, const std::string& input) {
   }
 
   timer.restart();
-  list.sort_radix(threads);
+  list.sort(threads);
   const double sort_s = timer.seconds();
   timer.restart();
   csr::CsrBuildTimings phases;
@@ -153,7 +153,7 @@ int cmd_stats(const util::Flags& flags, const std::string& input) {
     csr = packed.to_csr();
   } else {
     graph::EdgeList list = load_edges(input);
-    list.sort_radix(threads);
+    list.sort(threads);
     csr = csr::build_csr_from_sorted(list, 0, threads);
     compressed_bytes =
         csr::BitPackedCsr::from_csr(csr, threads).size_bytes();
@@ -236,7 +236,7 @@ int cmd_compare(const util::Flags& flags, const std::string& input) {
   // implements (the S2 bench for the user's own data).
   const int threads = static_cast<int>(flags.get_int("threads", 0));
   graph::EdgeList list = load_edges(input);
-  list.sort_radix(threads);
+  list.sort(threads);
   list.dedupe();
   const VertexId n = list.num_nodes();
   const csr::CsrGraph plain = csr::build_csr_from_sorted(list, n, threads);
