@@ -3,12 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "net/server.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slowlog.hpp"
 #include "obs/trace.hpp"
-#include "svc/service.hpp"
 
 namespace pcq::net {
 
@@ -37,105 +35,19 @@ std::string not_found() {
                         "not found\n");
 }
 
-void append_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-void append_hist(std::string& out, const char* name, double mean, double p50,
-                 double p95, double p99) {
-  out += "\"";
-  out += name;
-  out += "\":{\"mean\":";
-  append_double(out, mean);
-  out += ",\"p50\":";
-  append_double(out, p50);
-  out += ",\"p95\":";
-  append_double(out, p95);
-  out += ",\"p99\":";
-  append_double(out, p99);
-  out += "}";
-}
-
 std::string metrics_json(const AdminContext& ctx) {
-  std::string body = "{\"uptime_s\":";
-  append_double(body,
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - ctx.started)
-                    .count());
-  if (ctx.server_stats != nullptr) {
-    const ServerStats& s = *ctx.server_stats;
-    body += ",\"server\":{\"accepted\":";
-    append_u64(body, s.accepted.load(std::memory_order_relaxed));
-    body += ",\"open_conns\":";
-    body += std::to_string(s.open_conns.load(std::memory_order_relaxed));
-    body += ",\"frames_in\":";
-    append_u64(body, s.frames_in.load(std::memory_order_relaxed));
-    body += ",\"frames_out\":";
-    append_u64(body, s.frames_out.load(std::memory_order_relaxed));
-    body += ",\"bytes_in\":";
-    append_u64(body, s.bytes_in.load(std::memory_order_relaxed));
-    body += ",\"bytes_out\":";
-    append_u64(body, s.bytes_out.load(std::memory_order_relaxed));
-    body += ",\"rejected\":";
-    append_u64(body, s.rejected.load(std::memory_order_relaxed));
-    body += ",\"protocol_errors\":";
-    append_u64(body, s.protocol_errors.load(std::memory_order_relaxed));
-    body += ",\"admin_requests\":";
-    append_u64(body, s.admin_requests.load(std::memory_order_relaxed));
-    body += "}";
-  }
-  if (ctx.service != nullptr) {
-    const svc::MetricsSnapshot m = ctx.service->metrics();
-    body += ",\"service\":{\"submitted\":";
-    append_u64(body, m.submitted);
-    body += ",\"completed\":";
-    append_u64(body, m.completed);
-    body += ",\"rejected\":";
-    append_u64(body, m.rejected);
-    body += ",\"expired\":";
-    append_u64(body, m.expired);
-    body += ",\"batches\":";
-    append_u64(body, m.batches);
-    body += ",\"mutations\":";
-    append_u64(body, m.mutations);
-    body += ",\"qps\":";
-    append_double(body, m.qps);
-    body += ",";
-    append_hist(body, "latency_us", m.latency_mean_us, m.latency_p50_us,
-                m.latency_p95_us, m.latency_p99_us);
-    body += ",";
-    append_hist(body, "queue_wait_us", m.queue_wait_mean_us,
-                m.queue_wait_p50_us, m.queue_wait_p95_us, m.queue_wait_p99_us);
-    body += ",";
-    append_hist(body, "batch_size", m.mean_batch_size, m.batch_p50,
-                m.batch_p95, m.batch_p99);
-    body += ",\"queue_depths\":[";
-    const std::vector<std::size_t> depths = ctx.service->queue_depths();
-    for (std::size_t i = 0; i < depths.size(); ++i) {
-      if (i > 0) body += ",";
-      body += std::to_string(depths[i]);
-    }
-    body += "]}";
-  }
   const obs::SlowLog& slow = obs::SlowLog::global();
-  body += ",\"slowlog\":{\"threshold_us\":";
-  append_u64(body, slow.threshold_us());
-  body += ",\"captured\":";
-  append_u64(body, slow.captured());
-  body += ",\"capacity\":";
-  append_u64(body, slow.capacity());
-  body += "},\"registry\":";
-  std::ostringstream registry;
-  obs::MetricsRegistry::global().write_json(registry);
-  body += registry.str();
-  body += "}";
-  return body;
+  std::ostringstream body;
+  body << "{\"uptime_s\":"
+       << std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        ctx.started)
+              .count()
+       << ",\"slowlog\":{\"threshold_us\":" << slow.threshold_us()
+       << ",\"captured\":" << slow.captured()
+       << ",\"capacity\":" << slow.capacity() << "},\"registry\":";
+  obs::MetricsRegistry::global().write_json(body);
+  body << "}";
+  return body.str();
 }
 
 std::string buildinfo_json() {
@@ -176,7 +88,6 @@ std::string handle_admin_request(const AdminContext& context,
     return build_response(200, "OK", "application/json", buildinfo_json());
 
   if (path == "/metrics") {
-    if (context.refresh) context.refresh();
     std::ostringstream body;
     obs::write_prometheus(obs::MetricsRegistry::global(), body);
     return build_response(200, "OK",
@@ -184,11 +95,9 @@ std::string handle_admin_request(const AdminContext& context,
                           body.str());
   }
 
-  if (path == "/metrics.json") {
-    if (context.refresh) context.refresh();
+  if (path == "/metrics.json")
     return build_response(200, "OK", "application/json",
                           metrics_json(context));
-  }
 
   if (path == "/slow") {
     std::ostringstream body;

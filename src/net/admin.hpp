@@ -7,41 +7,28 @@
 // response always says `Connection: close`), GET only. Routes:
 //
 //   /metrics       Prometheus text exposition of the global registry
-//   /metrics.json  composite JSON: uptime, service snapshot (qps, latency
-//                  percentiles, per-shard queue depths), server counters,
-//                  slow-query summary, and the full registry dump
+//   /metrics.json  {"uptime_s", "slowlog" summary, "registry"}: the same
+//                  registry snapshot as JSON
 //   /slow          the bounded slow-query log (obs::SlowLog) as JSON
 //   /trace         Chrome trace-event JSON of everything recorded
 //   /healthz       "ok" — liveness for scripts and orchestrators
 //   /buildinfo     compiler / build-mode / trace-compiled-in JSON
 //
-// The handler is pure request -> response-bytes: TcpServer does the
-// socket work; tests call handle_admin_request directly. `refresh` (when
-// set) runs before any metrics route so sampled gauges (queue depths,
-// rusage, connection stats) are at most one call old.
+// Both metrics routes render one MetricsRegistry::snapshot(), which holds
+// every live QueryService's svc.* and TcpServer's net.* series beside the
+// registry's own, so nothing needs refreshing before a scrape. The handler
+// is pure request -> response-bytes: TcpServer does the socket work; tests
+// call handle_admin_request directly.
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <string>
 #include <string_view>
 
-namespace pcq::svc {
-class QueryService;
-}
-
 namespace pcq::net {
 
-struct ServerStats;
-
-/// What the admin routes report on. Pointers may be null (the route then
-/// omits that section); everything pointed at must outlive the handler.
+/// What the admin routes report beyond the registry.
 struct AdminContext {
-  svc::QueryService* service = nullptr;
-  const ServerStats* server_stats = nullptr;
-  /// Runs registered gauge samplers before a metrics scrape (usually
-  /// Reporter::run_samplers on the serving process's reporter).
-  std::function<void()> refresh;
   std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
 };

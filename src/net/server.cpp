@@ -129,6 +129,8 @@ TcpServer::TcpServer(svc::QueryService& service, ServerOptions options)
     PCQ_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, admin_listen_fd_, &ev) ==
               0);
   }
+  source_.emplace(obs::MetricsRegistry::global(),
+                  [this](obs::RegistrySnapshot& out) { add_series(out); });
 }
 
 TcpServer::~TcpServer() {
@@ -144,6 +146,23 @@ TcpServer::~TcpServer() {
   if (admin_listen_fd_ >= 0) ::close(admin_listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
+}
+
+void TcpServer::add_series(obs::RegistrySnapshot& out) const {
+  const auto add = [&out](const char* name,
+                          const std::atomic<std::uint64_t>& counter) {
+    out.counters[name] += counter.load(std::memory_order_relaxed);
+  };
+  add("net.accepted", stats_.accepted);
+  add("net.frames_in", stats_.frames_in);
+  add("net.frames_out", stats_.frames_out);
+  add("net.bytes_in", stats_.bytes_in);
+  add("net.bytes_out", stats_.bytes_out);
+  add("net.rejected", stats_.rejected);
+  add("net.protocol_errors", stats_.protocol_errors);
+  add("net.admin_requests", stats_.admin_requests);
+  out.gauges["net.open_conns"] +=
+      stats_.open_conns.load(std::memory_order_relaxed);
 }
 
 void TcpServer::request_stop() {
@@ -664,6 +683,7 @@ TcpServer::TcpServer(svc::QueryService& service, ServerOptions options)
 }
 
 TcpServer::~TcpServer() = default;
+void TcpServer::add_series(obs::RegistrySnapshot&) const {}
 void TcpServer::run() {}
 void TcpServer::request_stop() {}
 void TcpServer::accept_ready(int, bool) {}

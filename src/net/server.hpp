@@ -29,12 +29,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "svc/service.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -56,7 +58,9 @@ struct ServerOptions {
 };
 
 /// Counters the epoll thread maintains; read them after run() returns (or
-/// racily for monitoring — they are atomics).
+/// racily for monitoring — they are atomics). A live TcpServer also renders
+/// them in the global registry as the net.* series: every field but
+/// drained_in_flight as a counter of the same name, open_conns as a gauge.
 struct ServerStats {
   std::atomic<std::uint64_t> accepted{0};        ///< connections accepted
   std::atomic<std::uint64_t> frames_in{0};       ///< request frames decoded
@@ -131,6 +135,8 @@ class TcpServer {
   void update_read_interest(const std::shared_ptr<Conn>& conn);
   void begin_drain();
   [[nodiscard]] bool drain_complete() const;
+  /// Adds stats_ as the net.* series (see ServerStats); source_'s fill.
+  void add_series(obs::RegistrySnapshot& out) const;
 
   svc::QueryService& service_;
   ServerOptions options_;
@@ -153,6 +159,9 @@ class TcpServer {
   /// worker threads, swapped out and flushed by the epoll thread.
   util::Mutex dirty_mu_;
   std::vector<std::weak_ptr<Conn>> dirty_ PCQ_GUARDED_BY(dirty_mu_);
+  /// stats_ in the global registry; registered last in the constructor
+  /// and declared after stats_, so it leaves the registry first.
+  std::optional<obs::MetricsRegistry::Source> source_;
 };
 
 }  // namespace pcq::net

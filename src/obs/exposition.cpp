@@ -42,34 +42,32 @@ std::string sanitize_metric_name(std::string_view name) {
 }
 
 void write_prometheus(const MetricsRegistry& registry, std::ostream& out) {
-  registry.for_each(
-      [&](const std::string& name, std::uint64_t value) {
-        const std::string n = sanitize_metric_name(name);
-        out << "# TYPE " << n << " counter\n" << n << " " << value << "\n";
-      },
-      [&](const std::string& name, std::int64_t value) {
-        const std::string n = sanitize_metric_name(name);
-        out << "# TYPE " << n << " gauge\n" << n << " " << value << "\n";
-      },
-      [&](const std::string& name, const LogHistogram::Snapshot& s) {
-        const std::string n = sanitize_metric_name(name);
-        out << "# TYPE " << n << " summary\n";
-        for (const double q : {0.5, 0.95, 0.99}) {
-          out << n << "{quantile=\"";
-          write_double(out, q);
-          out << "\"} ";
-          write_double(out, s.quantile(q));
-          out << "\n";
-        }
-        out << n << "_sum " << s.sum << "\n";
-        out << n << "_count " << s.count << "\n";
-        // Exact extremes as companion gauges — the summary type has no
-        // min/max slots but the tails are the point of tracking them.
-        out << "# TYPE " << n << "_min gauge\n"
-            << n << "_min " << s.min() << "\n";
-        out << "# TYPE " << n << "_max gauge\n"
-            << n << "_max " << s.max() << "\n";
-      });
+  const RegistrySnapshot snap = registry.snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    const std::string n = sanitize_metric_name(name);
+    out << "# TYPE " << n << " counter\n" << n << " " << value << "\n";
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    const std::string n = sanitize_metric_name(name);
+    out << "# TYPE " << n << " gauge\n" << n << " " << value << "\n";
+  }
+  for (const auto& [name, s] : snap.histograms) {
+    const std::string n = sanitize_metric_name(name);
+    out << "# TYPE " << n << " summary\n";
+    for (const double q : {0.5, 0.95, 0.99}) {
+      out << n << "{quantile=\"";
+      write_double(out, q);
+      out << "\"} ";
+      write_double(out, s.quantile(q));
+      out << "\n";
+    }
+    out << n << "_sum " << s.sum << "\n";
+    out << n << "_count " << s.count << "\n";
+    // Exact extremes as companion gauges — the summary type has no
+    // min/max slots but the tails are the point of tracking them.
+    out << "# TYPE " << n << "_min gauge\n" << n << "_min " << s.min() << "\n";
+    out << "# TYPE " << n << "_max gauge\n" << n << "_max " << s.max() << "\n";
+  }
 }
 
 }  // namespace pcq::obs

@@ -35,10 +35,11 @@ class MetricsRegistry;
 /// the result always satisfies is_valid_metric_name.
 [[nodiscard]] std::string sanitize_metric_name(std::string_view name);
 
-/// Writes the whole registry in the Prometheus text exposition format
-/// (version 0.0.4): `# TYPE` comment then sample lines per metric, names
-/// sanitised as above. Safe concurrently with recording (same racy-but-
-/// monotonic snapshot model as write_text/write_json).
+/// Writes registry.snapshot() — the registry's own series and those of
+/// every live source — in the Prometheus text exposition format (version
+/// 0.0.4): `# TYPE` comment then sample lines per metric, names sanitised
+/// as above. Safe concurrently with recording (same racy-but-monotonic
+/// snapshot model as write_text/write_json).
 void write_prometheus(const MetricsRegistry& registry, std::ostream& out);
 
 }  // namespace pcq::obs

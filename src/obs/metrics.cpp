@@ -7,6 +7,7 @@
 #include <new>
 #include <ostream>
 #include <type_traits>
+#include <utility>
 
 #include "util/thread_annotations.hpp"
 
@@ -86,6 +87,7 @@ struct MetricsRegistry::Impl {
   std::map<std::string, Counter> counters PCQ_GUARDED_BY(mu);
   std::map<std::string, Gauge> gauges PCQ_GUARDED_BY(mu);
   std::map<std::string, LogHistogram> histograms PCQ_GUARDED_BY(mu);
+  std::vector<const Source*> sources PCQ_GUARDED_BY(mu);
 };
 
 MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
@@ -111,14 +113,37 @@ LogHistogram& MetricsRegistry::histogram(std::string_view name) {
   return impl_->histograms[std::string(name)];
 }
 
-void MetricsRegistry::write_text(std::ostream& out) const {
+MetricsRegistry::Source::Source(MetricsRegistry& registry,
+                                std::function<void(RegistrySnapshot&)> fill)
+    : registry_(registry), fill_(std::move(fill)) {
+  util::MutexLock lock(registry_.impl_->mu);
+  registry_.impl_->sources.push_back(this);
+}
+
+MetricsRegistry::Source::~Source() {
+  util::MutexLock lock(registry_.impl_->mu);
+  auto& sources = registry_.impl_->sources;
+  sources.erase(std::find(sources.begin(), sources.end(), this));
+}
+
+RegistrySnapshot MetricsRegistry::snapshot() const {
+  RegistrySnapshot out;
   util::MutexLock lock(impl_->mu);
-  for (const auto& [name, c] : impl_->counters)
-    out << name << " " << c.value() << "\n";
-  for (const auto& [name, g] : impl_->gauges)
-    out << name << " " << g.value() << "\n";
-  for (const auto& [name, h] : impl_->histograms) {
-    const auto s = h.snapshot();
+  for (const auto& [name, c] : impl_->counters) out.counters[name] = c.value();
+  for (const auto& [name, g] : impl_->gauges) out.gauges[name] = g.value();
+  for (const auto& [name, h] : impl_->histograms)
+    h.accumulate(out.histograms[name]);
+  for (const Source* source : impl_->sources) source->fill_(out);
+  return out;
+}
+
+void MetricsRegistry::write_text(std::ostream& out) const {
+  const RegistrySnapshot snap = snapshot();
+  for (const auto& [name, value] : snap.counters)
+    out << name << " " << value << "\n";
+  for (const auto& [name, value] : snap.gauges)
+    out << name << " " << value << "\n";
+  for (const auto& [name, s] : snap.histograms) {
     out << name << " count " << s.count << " mean " << s.mean() << " p50 "
         << s.quantile(0.50) << " p95 " << s.quantile(0.95) << " p99 "
         << s.quantile(0.99) << " min " << s.min() << " max " << s.max()
@@ -127,23 +152,22 @@ void MetricsRegistry::write_text(std::ostream& out) const {
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  util::MutexLock lock(impl_->mu);
+  const RegistrySnapshot snap = snapshot();
   out << "{";
   bool first = true;
   const auto sep = [&] {
     if (!first) out << ",";
     first = false;
   };
-  for (const auto& [name, c] : impl_->counters) {
+  for (const auto& [name, value] : snap.counters) {
     sep();
-    out << "\"" << name << "\":" << c.value();
+    out << "\"" << name << "\":" << value;
   }
-  for (const auto& [name, g] : impl_->gauges) {
+  for (const auto& [name, value] : snap.gauges) {
     sep();
-    out << "\"" << name << "\":" << g.value();
+    out << "\"" << name << "\":" << value;
   }
-  for (const auto& [name, h] : impl_->histograms) {
-    const auto s = h.snapshot();
+  for (const auto& [name, s] : snap.histograms) {
     sep();
     out << "\"" << name << "\":{\"count\":" << s.count
         << ",\"mean\":" << s.mean() << ",\"p50\":" << s.quantile(0.50)
@@ -151,22 +175,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
         << ",\"min\":" << s.min() << ",\"max\":" << s.max() << "}";
   }
   out << "}";
-}
-
-void MetricsRegistry::for_each(
-    const std::function<void(const std::string&, std::uint64_t)>& on_counter,
-    const std::function<void(const std::string&, std::int64_t)>& on_gauge,
-    const std::function<void(const std::string&,
-                             const LogHistogram::Snapshot&)>& on_histogram)
-    const {
-  util::MutexLock lock(impl_->mu);
-  if (on_counter)
-    for (const auto& [name, c] : impl_->counters) on_counter(name, c.value());
-  if (on_gauge)
-    for (const auto& [name, g] : impl_->gauges) on_gauge(name, g.value());
-  if (on_histogram)
-    for (const auto& [name, h] : impl_->histograms)
-      on_histogram(name, h.snapshot());
 }
 
 void MetricsRegistry::reset() {

@@ -1,6 +1,9 @@
 // pcq::obs — unified metrics: lock-free counters, gauges and log-linear
 // histograms, individually embeddable (pcq::svc's per-shard blocks) or
-// named through the process-wide MetricsRegistry.
+// named through the process-wide MetricsRegistry. Objects that own
+// per-instance blocks (a QueryService, a TcpServer) join the registry as
+// sources for as long as they live, so every metrics surface renders one
+// MetricsRegistry::snapshot().
 //
 // Every primitive is a relaxed std::atomic, so recording from any number
 // of threads is wait-free and contention-free at the cache-line level as
@@ -15,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -133,6 +137,16 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
+/// Point-in-time values of every series a registry renders, keyed by name.
+/// Sources add to it: `counters[name] += v`, `gauges[name] += v` and
+/// `h.accumulate(histograms[name])`, so same-named series from several
+/// sources sum (counters, gauges) or merge (histograms).
+struct RegistrySnapshot {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::int64_t> gauges;
+  std::map<std::string, LogHistogram::Snapshot> histograms;
+};
+
 /// Process-wide registry of named metrics. Lookup takes a mutex (cache the
 /// returned reference at the call site — references are stable for the
 /// registry's lifetime); recording through the returned reference is
@@ -153,6 +167,29 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   LogHistogram& histogram(std::string_view name);
 
+  /// RAII registration of series that live outside the registry: while a
+  /// Source exists, every snapshot() runs its `fill` to add them. `fill`
+  /// runs under the registry mutex — so the destructor waits out any
+  /// snapshot in progress — and must not call back into the registry.
+  /// Construct it only once everything `fill` reads is ready, and destroy
+  /// it before any of that goes away.
+  class Source {
+   public:
+    Source(MetricsRegistry& registry,
+           std::function<void(RegistrySnapshot&)> fill);
+    ~Source();
+    Source(const Source&) = delete;
+    Source& operator=(const Source&) = delete;
+
+   private:
+    friend class MetricsRegistry;
+    MetricsRegistry& registry_;
+    std::function<void(RegistrySnapshot&)> fill_;
+  };
+
+  /// The registry's own series plus those of every live Source.
+  [[nodiscard]] RegistrySnapshot snapshot() const;
+
   /// Snapshot as "name value" lines (histograms expand to count/mean/
   /// p50/p95/p99), names sorted.
   void write_text(std::ostream& out) const;
@@ -160,21 +197,9 @@ class MetricsRegistry {
   /// Snapshot as a single JSON object keyed by metric name.
   void write_json(std::ostream& out) const;
 
-  /// Visits every registered metric (counters, then gauges, then
-  /// histograms — each group in name order) under the registry mutex.
-  /// Histograms are handed over as point-in-time snapshots. The visitors
-  /// must not call back into the registry (the lock is held throughout);
-  /// they power the Prometheus exposition writer and the reporter's
-  /// interval-delta snapshots.
-  void for_each(
-      const std::function<void(const std::string&, std::uint64_t)>& on_counter,
-      const std::function<void(const std::string&, std::int64_t)>& on_gauge,
-      const std::function<void(const std::string&,
-                               const LogHistogram::Snapshot&)>& on_histogram)
-      const;
-
   /// Zeroes counters/gauges and drops histogram contents — quiescent use
-  /// (tests, tools between runs). Registered names and references survive.
+  /// (tests, tools between runs). Registered names and references survive;
+  /// sources are untouched.
   void reset();
 
  private:

@@ -11,24 +11,8 @@
 
 namespace pcq::obs {
 
-void Reporter::add_sampler(std::function<void()> sampler) {
-  util::MutexLock lock(samplers_mu_);
-  samplers_.push_back(std::move(sampler));
-}
-
-void Reporter::run_samplers() {
-  // Copy under the lock, run outside it: a sampler that takes its own lock
-  // (queue mutexes) must not nest inside samplers_mu_.
-  std::vector<std::function<void()>> samplers;
-  {
-    util::MutexLock lock(samplers_mu_);
-    samplers = samplers_;
-  }
-  for (const auto& s : samplers) s();
-}
-
 void Reporter::tick(std::ostream& out) {
-  run_samplers();
+  RegistrySnapshot snap = MetricsRegistry::global().snapshot();
   const auto now = std::chrono::steady_clock::now();
   const double interval_s =
       std::chrono::duration<double>(now - prev_tick_).count();
@@ -45,38 +29,31 @@ void Reporter::tick(std::ostream& out) {
                 "\"counters\":{",
                 static_cast<long long>(ts_ms), uptime_s, interval_s);
   out << buf;
-  std::map<std::string, std::uint64_t> totals;
   bool first = true;
-  MetricsRegistry::global().for_each(
-      [&](const std::string& name, std::uint64_t value) {
-        totals[name] = value;
-        const auto it = prev_counters_.find(name);
-        const std::uint64_t prev = it == prev_counters_.end() ? 0 : it->second;
-        // A reset() between ticks makes value < prev; clamp the delta to 0
-        // rather than reporting a huge wrapped rate.
-        const std::uint64_t delta = value >= prev ? value - prev : 0;
-        const double rate =
-            interval_s > 0 ? static_cast<double>(delta) / interval_s : 0.0;
-        std::snprintf(buf, sizeof buf, "%s\"%s\":{\"total\":%llu,\"rate\":%.3f}",
-                      first ? "" : ",", name.c_str(),
-                      static_cast<unsigned long long>(value), rate);
-        out << buf;
-        first = false;
-      },
-      nullptr, nullptr);
+  for (const auto& [name, value] : snap.counters) {
+    const auto it = prev_counters_.find(name);
+    const std::uint64_t prev = it == prev_counters_.end() ? 0 : it->second;
+    // A reset() between ticks makes value < prev; clamp the delta to 0
+    // rather than reporting a huge wrapped rate.
+    const std::uint64_t delta = value >= prev ? value - prev : 0;
+    const double rate =
+        interval_s > 0 ? static_cast<double>(delta) / interval_s : 0.0;
+    std::snprintf(buf, sizeof buf, "%s\"%s\":{\"total\":%llu,\"rate\":%.3f}",
+                  first ? "" : ",", name.c_str(),
+                  static_cast<unsigned long long>(value), rate);
+    out << buf;
+    first = false;
+  }
   out << "},\"gauges\":{";
   first = true;
-  MetricsRegistry::global().for_each(
-      nullptr,
-      [&](const std::string& name, std::int64_t value) {
-        std::snprintf(buf, sizeof buf, "%s\"%s\":%lld", first ? "" : ",",
-                      name.c_str(), static_cast<long long>(value));
-        out << buf;
-        first = false;
-      },
-      nullptr);
+  for (const auto& [name, value] : snap.gauges) {
+    std::snprintf(buf, sizeof buf, "%s\"%s\":%lld", first ? "" : ",",
+                  name.c_str(), static_cast<long long>(value));
+    out << buf;
+    first = false;
+  }
   out << "}}\n";
-  prev_counters_ = std::move(totals);
+  prev_counters_ = std::move(snap.counters);
   prev_tick_ = now;
   ticks_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -84,10 +61,8 @@ void Reporter::tick(std::ostream& out) {
 bool Reporter::start(ReporterOptions options) {
   if (running_.load(std::memory_order_acquire)) return true;
   options_ = std::move(options);
-  if (!options_.jsonl_path.empty()) {
-    out_.open(options_.jsonl_path, std::ios::app);
-    if (!out_) return false;
-  }
+  out_.open(options_.jsonl_path, std::ios::app);
+  if (!out_) return false;
   {
     util::MutexLock lock(stop_mu_);
     stop_requested_ = false;
@@ -113,21 +88,13 @@ void Reporter::loop() {
       }
       if (stop_requested_) break;
     }
-    if (out_.is_open()) {
-      tick(out_);
-      out_.flush();
-    } else {
-      // No file: still refresh sampled gauges so admin scrapes between
-      // explicit refreshes stay at most one interval stale.
-      run_samplers();
-    }
-  }
-  // Final line: a run shorter than one interval still leaves a data point.
-  if (out_.is_open()) {
     tick(out_);
     out_.flush();
-    out_.close();
   }
+  // Final line: a run shorter than one interval still leaves a data point.
+  tick(out_);
+  out_.flush();
+  out_.close();
 }
 
 void Reporter::stop() {
@@ -140,18 +107,17 @@ void Reporter::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-void sample_process_gauges() {
+void add_process_gauges([[maybe_unused]] RegistrySnapshot& snapshot) {
 #if defined(__unix__) || defined(__APPLE__)
   rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return;
-  auto& reg = MetricsRegistry::global();
   // ru_maxrss is kilobytes on Linux (bytes on macOS; close enough for a
   // trend gauge there — exactness matters on the deploy target).
-  reg.gauge("proc.maxrss_kb").set(static_cast<std::int64_t>(ru.ru_maxrss));
-  reg.gauge("proc.user_cpu_ms")
-      .set(ru.ru_utime.tv_sec * 1000 + ru.ru_utime.tv_usec / 1000);
-  reg.gauge("proc.sys_cpu_ms")
-      .set(ru.ru_stime.tv_sec * 1000 + ru.ru_stime.tv_usec / 1000);
+  snapshot.gauges["proc.maxrss_kb"] += static_cast<std::int64_t>(ru.ru_maxrss);
+  snapshot.gauges["proc.user_cpu_ms"] +=
+      ru.ru_utime.tv_sec * 1000 + ru.ru_utime.tv_usec / 1000;
+  snapshot.gauges["proc.sys_cpu_ms"] +=
+      ru.ru_stime.tv_sec * 1000 + ru.ru_stime.tv_usec / 1000;
 #endif
 }
 

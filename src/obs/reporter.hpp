@@ -3,20 +3,12 @@
 //
 // The registry's counters are monotonic by design; what an operator wants
 // on a chart is rates. The reporter owns one background thread that every
-// `interval`:
-//
-//   1. runs the registered samplers — callbacks that refresh gauges whose
-//      sources live outside the registry (per-shard queue depths, the TCP
-//      server's connection stats, rusage/maxrss, dyn compaction progress);
-//   2. snapshots every counter and gauge, differences the counters against
-//      the previous tick, and appends ONE JSON object line to the
-//      configured file: {"ts_ms":..,"uptime_s":..,"interval_s":..,
-//      "counters":{name:{"total":..,"rate":..}},"gauges":{name:..}}.
-//
-// The samplers are shared with the admin endpoint: run_samplers() is
-// thread-safe and the admin handler calls it before building a /metrics
-// response, so scrapes see gauges at most one call old instead of one
-// reporter interval old.
+// `interval` takes one MetricsRegistry::snapshot() — the registry's own
+// series plus every live source's (a QueryService's svc.*, a TcpServer's
+// net.*, the process source's proc.*) — differences the counters against
+// the previous tick, and appends ONE JSON object line to the configured
+// file: {"ts_ms":..,"uptime_s":..,"interval_s":..,
+// "counters":{name:{"total":..,"rate":..}},"gauges":{name:..}}.
 //
 // tick(out) exposes a single snapshot-delta step for tests and one-shot
 // tools; start()/stop() manage the background thread.
@@ -26,20 +18,20 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/thread_annotations.hpp"
 
 namespace pcq::obs {
 
+struct RegistrySnapshot;
+
 struct ReporterOptions {
   std::chrono::milliseconds interval{1000};
   /// JSONL output path; appended to (a serving process restarted onto the
-  /// same path extends the series). Empty = sample gauges but write nothing.
+  /// same path extends the series).
   std::string jsonl_path;
 };
 
@@ -49,13 +41,6 @@ class Reporter {
   ~Reporter() { stop(); }
   Reporter(const Reporter&) = delete;
   Reporter& operator=(const Reporter&) = delete;
-
-  /// Registers a gauge-refresh callback (see file comment). Callable before
-  /// or after start(); callbacks must be thread-safe and cheap.
-  void add_sampler(std::function<void()> sampler) PCQ_EXCLUDES(samplers_mu_);
-
-  /// Runs every registered sampler once (the admin scrape path).
-  void run_samplers() PCQ_EXCLUDES(samplers_mu_);
 
   /// Starts the background thread. Returns false (and does not start) when
   /// the JSONL file cannot be opened. No-op when already running.
@@ -69,23 +54,19 @@ class Reporter {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Completed ticks (lines written when a file is configured).
+  /// Completed ticks (lines written).
   [[nodiscard]] std::uint64_t ticks() const {
     return ticks_.load(std::memory_order_relaxed);
   }
 
-  /// One sampler + snapshot + interval-delta step, writing one JSONL line
-  /// to `out`. The delta baseline persists across calls (first call reports
-  /// rates since construction). Exposed for tests and one-shot tools; do
-  /// not mix with a running background thread (they would share the
-  /// baseline).
+  /// One snapshot + interval-delta step, writing one JSONL line to `out`.
+  /// The delta baseline persists across calls (first call reports rates
+  /// since construction). Exposed for tests and one-shot tools; do not mix
+  /// with a running background thread (they would share the baseline).
   void tick(std::ostream& out);
 
  private:
   void loop() PCQ_EXCLUDES(stop_mu_);
-
-  util::Mutex samplers_mu_;
-  std::vector<std::function<void()>> samplers_ PCQ_GUARDED_BY(samplers_mu_);
 
   /// Delta baseline: counter totals at the previous tick.
   std::map<std::string, std::uint64_t> prev_counters_;
@@ -104,9 +85,9 @@ class Reporter {
   std::atomic<std::uint64_t> ticks_{0};
 };
 
-/// Refreshes process-level gauges in the global registry from getrusage:
-/// proc.maxrss_kb, proc.user_cpu_ms, proc.sys_cpu_ms (no-op off unix). The
-/// standard rusage sampler to hand to Reporter::add_sampler.
-void sample_process_gauges();
+/// Adds the process-level gauges proc.maxrss_kb, proc.user_cpu_ms and
+/// proc.sys_cpu_ms from getrusage (no-op off unix) — the fill of the
+/// process source a serving tool installs on the global registry.
+void add_process_gauges(RegistrySnapshot& snapshot);
 
 }  // namespace pcq::obs

@@ -56,6 +56,9 @@ QueryService::QueryService(dyn::HybridGraph* dynamic,
     Shard* raw = shard.get();
     pool_->submit([this, raw] { shard_loop(*raw); });
   }
+  // Last: a scrape may iterate shards_ as soon as the source is registered.
+  source_.emplace(obs::MetricsRegistry::global(),
+                  [this](obs::RegistrySnapshot& out) { add_series(out); });
 }
 
 QueryService::~QueryService() { stop(); }
@@ -347,23 +350,47 @@ std::vector<std::size_t> QueryService::queue_depths() const {
   return depths;
 }
 
-MetricsSnapshot QueryService::metrics() const {
-  MetricsSnapshot snap;
-  LogHistogram::Snapshot latency;
-  LogHistogram::Snapshot queue_wait;
-  LogHistogram::Snapshot sizes;
+void QueryService::add_series(obs::RegistrySnapshot& out) const {
+  std::uint64_t& submitted = out.counters["svc.submitted"];
+  std::uint64_t& completed = out.counters["svc.completed"];
+  std::uint64_t& rejected = out.counters["svc.rejected"];
+  std::uint64_t& expired = out.counters["svc.expired"];
+  std::uint64_t& batches = out.counters["svc.batches"];
+  std::uint64_t& mutations = out.counters["svc.mutations"];
+  LogHistogram::Snapshot& latency = out.histograms["svc.latency_us"];
+  LogHistogram::Snapshot& queue_wait = out.histograms["svc.queue_wait_us"];
+  LogHistogram::Snapshot& sizes = out.histograms["svc.batch_size"];
+  std::int64_t& depth = out.gauges["svc.queue_depth"];
   for (const auto& shard : shards_) {
     const ShardMetrics& m = shard->metrics;
-    snap.submitted += m.submitted.load(std::memory_order_relaxed);
-    snap.rejected += m.rejected.load(std::memory_order_relaxed);
-    snap.expired += m.expired.load(std::memory_order_relaxed);
-    snap.completed += m.completed.load(std::memory_order_relaxed);
-    snap.batches += m.batches.load(std::memory_order_relaxed);
-    snap.mutations += m.mutations.load(std::memory_order_relaxed);
+    submitted += m.submitted.load(std::memory_order_relaxed);
+    completed += m.completed.load(std::memory_order_relaxed);
+    rejected += m.rejected.load(std::memory_order_relaxed);
+    expired += m.expired.load(std::memory_order_relaxed);
+    batches += m.batches.load(std::memory_order_relaxed);
+    mutations += m.mutations.load(std::memory_order_relaxed);
     m.latency_us.accumulate(latency);
     m.queue_wait_us.accumulate(queue_wait);
     m.batch_size.accumulate(sizes);
+    depth += static_cast<std::int64_t>(shard->queue.size());
   }
+}
+
+MetricsSnapshot QueryService::metrics() const {
+  obs::RegistrySnapshot series;
+  add_series(series);
+  const auto& c = series.counters;
+  MetricsSnapshot snap;
+  snap.submitted = c.at("svc.submitted");
+  snap.rejected = c.at("svc.rejected");
+  snap.expired = c.at("svc.expired");
+  snap.completed = c.at("svc.completed");
+  snap.batches = c.at("svc.batches");
+  snap.mutations = c.at("svc.mutations");
+  const LogHistogram::Snapshot& latency = series.histograms.at("svc.latency_us");
+  const LogHistogram::Snapshot& queue_wait =
+      series.histograms.at("svc.queue_wait_us");
+  const LogHistogram::Snapshot& sizes = series.histograms.at("svc.batch_size");
   snap.elapsed_seconds =
       std::chrono::duration<double>(Clock::now() - started_).count();
   snap.qps = snap.elapsed_seconds > 0

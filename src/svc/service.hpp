@@ -32,6 +32,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "csr/bitpacked_csr.hpp"
@@ -98,7 +99,8 @@ class QueryService {
   /// Idempotent; called by the destructor.
   void stop();
 
-  /// Aggregated counters + latency/batch-size percentiles across shards.
+  /// Aggregated counters + latency/batch-size percentiles across shards —
+  /// this service's own svc.* series (see add_series).
   [[nodiscard]] MetricsSnapshot metrics() const;
 
   /// Instantaneous queued-request count per shard (telemetry gauges; each
@@ -138,6 +140,12 @@ class QueryService {
                          const std::vector<std::size_t>& ids, bool add);
   void complete(Shard& shard, Pending& pending, Response&& response,
                 Clock::time_point now);
+  /// Adds the shard blocks, summed and merged across shards, as the
+  /// counters svc.{submitted,completed,rejected,expired,batches,mutations},
+  /// the histograms svc.{latency_us,queue_wait_us,batch_size} and the gauge
+  /// svc.queue_depth. The fill of source_ and the body of metrics(); reads
+  /// each shard's queue size under that queue's mutex.
+  void add_series(obs::RegistrySnapshot& out) const;
 
   /// The live-ingest graph (null on the read-only form, whose mutations
   /// answer kUnsupported) and the read-only form's View. Every batch pins
@@ -152,6 +160,9 @@ class QueryService {
   /// exchange() makes stop() idempotent under concurrent callers (signal
   /// path vs. destructor) — a plain bool read-modify-write here is a race.
   std::atomic<bool> stopped_{false};
+  /// This service's series in the global registry; declared after shards_
+  /// so it leaves the registry before the shards are destroyed.
+  std::optional<obs::MetricsRegistry::Source> source_;
 };
 
 }  // namespace pcq::svc

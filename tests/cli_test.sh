@@ -8,7 +8,16 @@ PCQ="$1"
 SERVE="$2"
 TOP="$3"
 TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+# Background servers are recorded in BG_PIDS; a failing check exits through
+# this trap, which stops any still running before removing their files.
+BG_PIDS=""
+cleanup() {
+  for pid in $BG_PIDS; do
+    kill "$pid" 2> /dev/null && wait "$pid" 2> /dev/null
+  done
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 printf "# comment line\n0 1\n1 2\n2 0\n0 2\n" > "$TMP/g.txt"
 
@@ -212,6 +221,7 @@ if [ -n "$SERVE" ]; then
   : > "$TMP/listen.out"
   "$SERVE" "$TMP/g.csr" --tcsr "$TMP/t.tcsr" --listen 0 > "$TMP/listen.out" 2>&1 &
   LISTEN_PID=$!
+  BG_PIDS="$BG_PIDS $LISTEN_PID"
   PORT=""
   i=0
   while [ $i -lt 50 ]; do
@@ -251,6 +261,7 @@ if [ -n "$SERVE" ]; then
         --inject-delay-us 500 --report "$TMP/report.jsonl" \
         --report-interval-ms 100 > "$TMP/admin.out" 2>&1 &
     LISTEN_PID=$!
+    BG_PIDS="$BG_PIDS $LISTEN_PID"
     PORT=""; ADMIN_PORT=""
     i=0
     while [ $i -lt 50 ]; do
@@ -265,7 +276,7 @@ if [ -n "$SERVE" ]; then
     "$TOP" "127.0.0.1:$ADMIN_PORT" --scrape /metrics > "$TMP/metrics.txt"
     grep -q "# TYPE svc_flush_size counter" "$TMP/metrics.txt"
     "$TOP" "127.0.0.1:$ADMIN_PORT" --scrape /metrics.json > "$TMP/metrics.json"
-    grep -q '"completed":3' "$TMP/metrics.json"
+    grep -q '"svc.completed":3' "$TMP/metrics.json"
     "$TOP" "127.0.0.1:$ADMIN_PORT" --scrape /slow > "$TMP/slow.json"
     grep -q '"trace_id":' "$TMP/slow.json"
     "$TOP" "127.0.0.1:$ADMIN_PORT" --scrape /trace > "$TMP/admin_trace.json"
@@ -291,6 +302,7 @@ for line in open(sys.argv[1]):
   : > "$TMP/listen2.out"
   "$SERVE" "$TMP/g.csr" --listen 0 > "$TMP/listen2.out" 2>&1 &
   LISTEN_PID=$!
+  BG_PIDS="$BG_PIDS $LISTEN_PID"
   PORT=""
   i=0
   while [ $i -lt 50 ]; do

@@ -1,9 +1,10 @@
 // pcq::net — admin telemetry endpoint tests: the pure request handler
 // (routing, status codes, content types) plus live-socket coverage on the
 // epoll server's second listener — the exposition parses per the
-// Prometheus grammar, /metrics.json and /slow are valid JSON, counters are
-// monotonic across scrapes under load, and an injected kernel delay lands
-// requests in the bounded slow-query log.
+// Prometheus grammar and carries the service's and server's own series,
+// /metrics.json and /slow are valid JSON, counters are monotonic across
+// scrapes under load, and an injected kernel delay lands requests in the
+// bounded slow-query log.
 #include "net/admin.hpp"
 
 #include <gtest/gtest.h>
@@ -174,8 +175,6 @@ struct LiveAdminServer {
     options.admin_enabled = true;
     server = std::make_unique<TcpServer>(service, options);
     AdminContext ctx;
-    ctx.service = &service;
-    ctx.server_stats = &server->stats();
     ctx.started = std::chrono::steady_clock::now();
     server->set_admin_handler(
         [ctx](std::string_view method, std::string_view target) {
@@ -243,10 +242,8 @@ WireRequest wire(std::uint64_t id, QueryKind kind, std::uint32_t u,
 // ------------------------------------------------------- pure handler
 
 TEST(AdminHandler, RoutesAndStatusCodes) {
-  LiveAdminServer s;  // the handler closes over live service + stats
+  LiveAdminServer s;  // a live service + server as registry sources
   AdminContext ctx;
-  ctx.service = &s.service;
-  ctx.server_stats = &s.server->stats();
   ctx.started = std::chrono::steady_clock::now();
 
   EXPECT_NE(handle_admin_request(ctx, "GET", "/healthz").find("200"),
@@ -307,15 +304,23 @@ TEST(AdminEndpoint, MetricsExpositionParsesPerGrammar) {
     if (brace != std::string::npos) name.resize(brace);
     EXPECT_TRUE(obs::is_valid_metric_name(name)) << line;
   }
+  // The service's and the server's own series reach /metrics, typed.
+  EXPECT_NE(body.find("# TYPE svc_latency_us summary\n"), std::string::npos);
+  EXPECT_NE(body.find("# TYPE svc_completed counter\nsvc_completed 50\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE net_frames_in counter\n"), std::string::npos);
+  EXPECT_NE(body.find("# TYPE net_open_conns gauge\n"), std::string::npos);
 }
 
 TEST(AdminEndpoint, MetricsJsonAndSlowAreValidJson) {
   LiveAdminServer s;
   const std::string metrics = body_of(admin_get(s, "/metrics.json"));
   EXPECT_TRUE(json_valid(metrics)) << metrics.substr(0, 400);
-  EXPECT_NE(metrics.find("\"server\":"), std::string::npos);
-  EXPECT_NE(metrics.find("\"service\":"), std::string::npos);
   EXPECT_NE(metrics.find("\"slowlog\":"), std::string::npos);
+  const std::size_t registry = metrics.find("\"registry\":{");
+  ASSERT_NE(registry, std::string::npos);
+  EXPECT_NE(metrics.find("\"svc.completed\":", registry), std::string::npos);
+  EXPECT_NE(metrics.find("\"net.frames_in\":", registry), std::string::npos);
   const std::string slow = body_of(admin_get(s, "/slow"));
   EXPECT_TRUE(json_valid(slow)) << slow.substr(0, 400);
 }
@@ -334,10 +339,10 @@ TEST(AdminEndpoint, CountersAreMonotonicAcrossScrapesUnderLoad) {
     }
   };
   auto completed_of = [](const std::string& json) {
-    const std::size_t svc = json.find("\"service\":");
-    const std::size_t at = json.find("\"completed\":", svc);
+    const std::string key = "\"svc.completed\":";
+    const std::size_t at = json.find(key, json.find("\"registry\":"));
     EXPECT_NE(at, std::string::npos);
-    return std::strtoull(json.c_str() + at + 12, nullptr, 10);
+    return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
   };
   drive(100);
   const std::string first = body_of(admin_get(s, "/metrics.json"));

@@ -1,12 +1,13 @@
 // pcq::obs — exposition, slow-log and reporter tests: the metric-name
-// sanitiser and a lint of every name the library registers against the
-// Prometheus grammar, the text-exposition writer's output shape, exact
-// histogram min/max in every output format, the bounded slow-query log,
-// and the reporter's interval-delta JSONL lines.
+// sanitiser and a lint of every name a registry snapshot renders (sources
+// included) against the Prometheus grammar, the text-exposition writer's
+// output shape, exact histogram min/max in every output format, the
+// bounded slow-query log, and the reporter's interval-delta JSONL lines.
 #include "obs/exposition.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "csr/builder.hpp"
 #include "dyn/hybrid.hpp"
 #include "graph/generators.hpp"
+#include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reporter.hpp"
 #include "obs/slowlog.hpp"
@@ -65,22 +67,25 @@ TEST(Exposition, SanitizeIsTotalAndIdempotent) {
 }
 
 // Exercise representative library paths so their instrumentation registers
-// its names, then lint every name in the global registry: each must map to
-// a valid exposition name and no two distinct names may collide after
-// sanitisation (a collision would silently merge two series).
+// its names, keep every source alive (a QueryService's svc.*, a TcpServer's
+// net.*, the process's proc.*), then lint every name one snapshot of the
+// global registry renders: each must map to a valid exposition name and no
+// two distinct names may collide after sanitisation (a collision would
+// silently merge two series).
 TEST(Exposition, EveryRegisteredNameSanitizesCleanlyAndUniquely) {
   // csr.builds + svc.* names.
   graph::EdgeList list = graph::rmat(1 << 8, 2'000, 0.57, 0.19, 0.19, 5, 1);
   list.sort(1);
   list.dedupe();
   const auto csr = csr::build_bitpacked_csr_from_sorted(list, 1 << 8, 1);
-  {
-    svc::QueryService service(csr, nullptr, {});
-    svc::Request req;
-    req.kind = svc::QueryKind::kDegree;
-    req.u = 1;
-    service.submit(req).wait();
-  }
+  svc::QueryService service(csr, nullptr, {});
+  svc::Request req;
+  req.kind = svc::QueryKind::kDegree;
+  req.u = 1;
+  service.submit(req).wait();
+#ifdef __linux__
+  const net::TcpServer server(service, {});  // net.* names
+#endif
   // dyn.* names.
   {
     dyn::HybridGraph hybrid(csr);
@@ -89,16 +94,23 @@ TEST(Exposition, EveryRegisteredNameSanitizesCleanlyAndUniquely) {
     hybrid.maybe_compact(1);
   }
   // proc.* names.
-  sample_process_gauges();
+  const MetricsRegistry::Source process(MetricsRegistry::global(),
+                                        add_process_gauges);
 
+  const RegistrySnapshot snap = MetricsRegistry::global().snapshot();
   std::vector<std::string> names;
-  MetricsRegistry::global().for_each(
-      [&](const std::string& name, std::uint64_t) { names.push_back(name); },
-      [&](const std::string& name, std::int64_t) { names.push_back(name); },
-      [&](const std::string& name, const LogHistogram::Snapshot&) {
-        names.push_back(name);
-      });
-  ASSERT_FALSE(names.empty());
+  for (const auto& [name, value] : snap.counters) names.push_back(name);
+  for (const auto& [name, value] : snap.gauges) names.push_back(name);
+  for (const auto& [name, value] : snap.histograms) names.push_back(name);
+  for (const char* name : {"svc.completed", "svc.queue_depth",
+                           "svc.latency_us", "dyn.hybrid.compactions",
+                           "proc.maxrss_kb"})
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+#ifdef __linux__
+  EXPECT_NE(std::find(names.begin(), names.end(), "net.frames_in"),
+            names.end());
+#endif
   std::set<std::string> sanitized;
   for (const std::string& name : names) {
     const std::string clean = sanitize_metric_name(name);
@@ -277,9 +289,9 @@ TEST(Reporter, TickEmitsIntervalDeltaJsonl) {
   auto& counter = reg.counter("expo.reporter.events");
   Reporter reporter;
   bool sampled = false;
-  reporter.add_sampler([&] {
+  const MetricsRegistry::Source level(reg, [&](RegistrySnapshot& out) {
     sampled = true;
-    reg.gauge("expo.reporter.level").set(42);
+    out.gauges["expo.reporter.level"] += 42;
   });
 
   counter.add(5);

@@ -1,16 +1,25 @@
-// Tests for the pcq::obs metrics registry and the geometric-midpoint
-// quantile of LogHistogram (the histogram's bucket mechanics are covered
-// by test_svc_metrics.cpp, which exercises the same class through the
-// pcq::svc re-export).
+// Tests for the pcq::obs metrics registry — its own series and the
+// sources it renders beside them, including a QueryService and a
+// TcpServer coming and going under concurrent snapshots — and the
+// geometric-midpoint quantile of LogHistogram (the histogram's bucket
+// mechanics are covered by test_svc_metrics.cpp, which exercises the same
+// class through the pcq::svc re-export).
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "csr/builder.hpp"
+#include "graph/generators.hpp"
+#include "net/server.hpp"
+#include "obs/exposition.hpp"
+#include "svc/service.hpp"
 
 namespace {
 
@@ -18,6 +27,7 @@ using pcq::obs::Counter;
 using pcq::obs::Gauge;
 using pcq::obs::LogHistogram;
 using pcq::obs::MetricsRegistry;
+using pcq::obs::RegistrySnapshot;
 
 TEST(ObsMetricsRegistry, SameNameYieldsSameObject) {
   MetricsRegistry reg;
@@ -101,6 +111,132 @@ TEST(ObsMetricsRegistry, ResetZeroesButKeepsReferences) {
 
 TEST(ObsMetricsRegistry, GlobalIsAProcessSingleton) {
   EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
+}
+
+// ---------------------------------------------------------------- sources
+
+/// Count of lines in `text` that start with `prefix`.
+std::size_t lines_starting_with(const std::string& text,
+                                const std::string& prefix) {
+  std::istringstream lines(text);
+  std::size_t n = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(prefix, 0) == 0) ++n;
+  return n;
+}
+
+TEST(ObsRegistrySource, SameNamedSeriesSumAndMerge) {
+  MetricsRegistry reg;
+  reg.counter("src.events").add(1);  // the registry's own series joins in
+  LogHistogram h1, h2;
+  h1.record(10);
+  h1.record(20);
+  h2.record(5);
+  h2.record(4000);
+  const auto source = [](std::uint64_t events, std::int64_t level,
+                         const LogHistogram& h) {
+    return [events, level, &h](RegistrySnapshot& out) {
+      out.counters["src.events"] += events;
+      out.gauges["src.level"] += level;
+      h.accumulate(out.histograms["src.lat_us"]);
+    };
+  };
+  const MetricsRegistry::Source a(reg, source(2, 4, h1));
+  const MetricsRegistry::Source b(reg, source(3, -1, h2));
+
+  const RegistrySnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("src.events"), 6u);
+  EXPECT_EQ(snap.gauges.at("src.level"), 3);
+  const LogHistogram::Snapshot& lat = snap.histograms.at("src.lat_us");
+  EXPECT_EQ(lat.count, 4u);
+  EXPECT_EQ(lat.sum, 4035u);
+  EXPECT_EQ(lat.min(), 5u);
+  EXPECT_EQ(lat.max(), 4000u);
+
+  // Every rendering shows one series per name, with the summed value.
+  std::ostringstream text, json, prom;
+  reg.write_text(text);
+  reg.write_json(json);
+  pcq::obs::write_prometheus(reg, prom);
+  EXPECT_EQ(lines_starting_with(text.str(), "src.events "), 1u);
+  EXPECT_NE(text.str().find("src.events 6\n"), std::string::npos);
+  EXPECT_NE(text.str().find("src.level 3\n"), std::string::npos);
+  EXPECT_EQ(lines_starting_with(text.str(), "src.lat_us count 4 "), 1u);
+  EXPECT_NE(json.str().find("\"src.events\":6,"), std::string::npos);
+  EXPECT_EQ(lines_starting_with(prom.str(), "# TYPE src_events counter"), 1u);
+  EXPECT_EQ(lines_starting_with(prom.str(), "# TYPE src_level gauge"), 1u);
+  EXPECT_EQ(lines_starting_with(prom.str(), "# TYPE src_lat_us summary"), 1u);
+  EXPECT_NE(prom.str().find("src_lat_us_count 4\n"), std::string::npos);
+}
+
+TEST(ObsRegistrySource, DestroyedSourceLeavesTheNextSnapshot) {
+  MetricsRegistry reg;
+  reg.counter("own.events").add(1);
+  {
+    const MetricsRegistry::Source source(reg, [](RegistrySnapshot& out) {
+      out.counters["gone.events"] += 1;
+      out.gauges["gone.level"] += 1;
+      out.histograms["gone.lat_us"].count += 1;
+    });
+    const RegistrySnapshot live = reg.snapshot();
+    EXPECT_EQ(live.counters.count("gone.events"), 1u);
+    EXPECT_EQ(live.gauges.count("gone.level"), 1u);
+    EXPECT_EQ(live.histograms.count("gone.lat_us"), 1u);
+  }
+  const RegistrySnapshot after = reg.snapshot();
+  EXPECT_EQ(after.counters.count("gone.events"), 0u);
+  EXPECT_EQ(after.gauges.count("gone.level"), 0u);
+  EXPECT_EQ(after.histograms.count("gone.lat_us"), 0u);
+  EXPECT_EQ(after.counters.at("own.events"), 1u);
+}
+
+// One thread snapshots the global registry in a loop while this one builds
+// and tears down a QueryService and a TcpServer, each a source for its
+// lifetime: a snapshot sees a source fully built or not at all, and a
+// destructor waits out the snapshot reading it (clean under the sanitizer
+// presets, whose TSan lock-order check covers registry mutex -> queue
+// mutex). Afterwards no svc.* or net.* series is left behind.
+TEST(ObsRegistrySource, SnapshotsRaceServiceAndServerLifetimes) {
+  pcq::graph::EdgeList list =
+      pcq::graph::rmat(1 << 8, 2'000, 0.57, 0.19, 0.19, 5, 1);
+  list.sort(1);
+  list.dedupe();
+  const auto csr = pcq::csr::build_bitpacked_csr_from_sorted(list, 1 << 8, 1);
+  auto& reg = MetricsRegistry::global();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> live_snapshots{0};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const RegistrySnapshot snap = reg.snapshot();
+      if (snap.counters.count("svc.completed") != 0)
+        live_snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // At least 20 rounds, and on until the scraper has caught a live source.
+  for (int round = 0; round < 5'000; ++round) {
+    if (round >= 20 && live_snapshots.load(std::memory_order_relaxed) > 0)
+      break;
+    pcq::svc::ServiceConfig config;
+    config.shards = 2;
+    pcq::svc::QueryService service(csr, nullptr, config);
+#ifdef __linux__
+    const pcq::net::TcpServer server(service, {});
+#endif
+    pcq::svc::Request req;
+    req.kind = pcq::svc::QueryKind::kDegree;
+    req.u = static_cast<pcq::graph::VertexId>(round % (1 << 8));
+    EXPECT_EQ(service.submit(req).get().status, pcq::svc::Status::kOk);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(live_snapshots.load(std::memory_order_relaxed), 0u);
+
+  const RegistrySnapshot after = reg.snapshot();
+  EXPECT_EQ(after.counters.count("svc.completed"), 0u);
+  EXPECT_EQ(after.gauges.count("svc.queue_depth"), 0u);
+  EXPECT_EQ(after.counters.count("net.frames_in"), 0u);
+  EXPECT_EQ(after.gauges.count("net.open_conns"), 0u);
 }
 
 TEST(ObsLogHistogram, QuantileIsGeometricMidpointOfWinningBucket) {

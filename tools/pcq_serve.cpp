@@ -25,11 +25,14 @@
 //
 // --admin PORT (with --listen) opens the HTTP scrape endpoint on a second
 // port of the same epoll thread: /metrics (Prometheus text), /metrics.json
-// (composite snapshot), /slow (the slow-query log), /trace (Chrome trace),
-// /healthz, /buildinfo. --slow-us sets the tail-sampling threshold
-// (default 10ms), --slow-cap the log bound; --report FILE appends one
-// JSONL line per --report-interval-ms with counter rates and sampled
-// gauges. tools/pcq_top renders a live dashboard from /metrics.json.
+// (uptime, slow-log summary and the registry), /slow (the slow-query log),
+// /trace (Chrome trace), /healthz, /buildinfo. --slow-us sets the
+// tail-sampling threshold (default 10ms), --slow-cap the log bound;
+// --report FILE appends one JSONL line per --report-interval-ms with
+// counter rates and gauges. Every metrics surface renders the one global
+// registry, which the service (svc.*), the TCP server (net.*) and the
+// process (proc.*) join as sources while they live. tools/pcq_top renders
+// a live dashboard from /metrics.json.
 //
 // --mmap serves straight from memory-mapped files: the packed arrays are
 // borrowed views over the mapping (zero payload copies), so startup cost is
@@ -49,7 +52,7 @@
 //   add U V             make edge (U, V) visible (needs --dynamic)
 //   del U V             make edge (U, V) invisible (needs --dynamic)
 //   metrics             print the metrics snapshot
-//   STATS               metrics snapshot + the pcq::obs registry dump
+//   STATS               the pcq::obs registry dump (svc.*, dyn.*, proc.*...)
 //   TRACE <file>        export the span flight-recorder as Chrome trace JSON
 //
 // The tracer runs from startup in flight-recorder mode (last ~4k spans per
@@ -260,7 +263,6 @@ int run_stdin(svc::QueryService& service) {
       continue;
     }
     if (op == "STATS") {
-      print_metrics(service.metrics());
       std::printf("-- registry --\n");
       obs::MetricsRegistry::global().write_text(std::cout);
       std::cout.flush();
@@ -308,60 +310,22 @@ int run_listen(svc::QueryService& service, const util::Flags& flags) {
   options.admin_port =
       static_cast<std::uint16_t>(flags.get_int("admin", 0));
   net::TcpServer server(service, options);
-
-  // The reporter thread runs whenever we listen: its samplers keep the
-  // sampled gauges (queue depths, connection stats, rusage) fresh for both
-  // the JSONL series (--report) and admin scrapes (which also call
-  // run_samplers directly, so a scrape is never stale).
-  obs::Reporter reporter;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  reporter.add_sampler([&service, &reg] {
-    const std::vector<std::size_t> depths = service.queue_depths();
-    std::size_t total = 0;
-    std::size_t deepest = 0;
-    for (const std::size_t d : depths) {
-      total += d;
-      deepest = std::max(deepest, d);
-    }
-    reg.gauge("svc.queue_depth").set(static_cast<std::int64_t>(total));
-    reg.gauge("svc.queue_depth_max").set(static_cast<std::int64_t>(deepest));
-  });
-  const net::ServerStats& live = server.stats();
-  reporter.add_sampler([&live, &reg] {
-    const auto mirror = [&reg](const char* name, std::uint64_t v) {
-      reg.gauge(name).set(static_cast<std::int64_t>(v));
-    };
-    reg.gauge("net.open_conns")
-        .set(live.open_conns.load(std::memory_order_relaxed));
-    mirror("net.accepted", live.accepted.load(std::memory_order_relaxed));
-    mirror("net.frames_in", live.frames_in.load(std::memory_order_relaxed));
-    mirror("net.frames_out", live.frames_out.load(std::memory_order_relaxed));
-    mirror("net.bytes_in", live.bytes_in.load(std::memory_order_relaxed));
-    mirror("net.bytes_out", live.bytes_out.load(std::memory_order_relaxed));
-    mirror("net.rejected", live.rejected.load(std::memory_order_relaxed));
-    mirror("net.protocol_errors",
-           live.protocol_errors.load(std::memory_order_relaxed));
-    mirror("net.admin_requests",
-           live.admin_requests.load(std::memory_order_relaxed));
-  });
-  reporter.add_sampler(obs::sample_process_gauges);
-
   net::AdminContext admin_ctx;
-  admin_ctx.service = &service;
-  admin_ctx.server_stats = &server.stats();
-  admin_ctx.refresh = [&reporter] { reporter.run_samplers(); };
   server.set_admin_handler(
       [admin_ctx](std::string_view method, std::string_view target) {
         return net::handle_admin_request(admin_ctx, method, target);
       });
 
-  obs::ReporterOptions ropts;
-  ropts.interval = std::chrono::milliseconds(
-      flags.get_int("report-interval-ms", 1000));
-  ropts.jsonl_path = flags.get("report", "");
-  if (!reporter.start(ropts))
-    std::fprintf(stderr, "warning: cannot open report file %s\n",
-                 ropts.jsonl_path.c_str());
+  obs::Reporter reporter;
+  if (flags.has("report")) {
+    obs::ReporterOptions ropts;
+    ropts.interval = std::chrono::milliseconds(
+        flags.get_int("report-interval-ms", 1000));
+    ropts.jsonl_path = flags.get("report", "");
+    if (!reporter.start(ropts))
+      std::fprintf(stderr, "warning: cannot open report file %s\n",
+                   ropts.jsonl_path.c_str());
+  }
 
   g_server.store(&server, std::memory_order_release);
   std::signal(SIGINT, handle_stop_signal);
@@ -481,6 +445,9 @@ int main(int argc, char** argv) {
   // Flight-recorder mode: record spans from startup so the TRACE command
   // can dump the recent past without any prior opt-in.
   pcq::obs::set_trace_enabled(true);
+  // rusage gauges (proc.*) in every rendering of the global registry.
+  const pcq::obs::MetricsRegistry::Source process(
+      pcq::obs::MetricsRegistry::global(), pcq::obs::add_process_gauges);
   try {
     using Clock = std::chrono::steady_clock;
     const bool use_mmap = flags.has("mmap");

@@ -5,12 +5,13 @@
 //   pcq_top HOST:PORT --scrape /metrics
 //
 // Each tick fetches /metrics.json over a fresh TCP connection (the admin
-// endpoint is one-request-per-connection) and renders qps (interval delta
-// of the completed counter), latency percentiles, queue depth, rejects,
-// connection and compaction counters, and process rss. --once prints a
-// single snapshot without clearing the screen (scripts); --count N exits
-// after N ticks. --scrape PATH fetches any admin path and prints the raw
-// body — the test/CI-friendly way to scrape without curl.
+// endpoint is one-request-per-connection) and renders, from its registry
+// object, qps (interval delta of svc.completed), svc.latency_us
+// percentiles, svc.queue_depth, rejects, net.open_conns, compactions and
+// process rss. --once prints a single snapshot without clearing the screen
+// (scripts); --count N exits after N ticks. --scrape PATH fetches any
+// admin path and prints the raw body — the test/CI-friendly way to scrape
+// without curl.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -97,23 +98,6 @@ double num_after(std::string_view s, std::string_view key, double fallback,
                      nullptr);
 }
 
-/// Sum of the array following `"key":[` — the per-shard queue depths.
-double sum_array_after(std::string_view s, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":[";
-  std::size_t at = s.find(needle);
-  if (at == std::string_view::npos) return 0;
-  at += needle.size();
-  double total = 0;
-  while (at < s.size() && s[at] != ']') {
-    char* end = nullptr;
-    const std::string chunk(s.substr(at, 32));
-    total += std::strtod(chunk.c_str(), &end);
-    at += static_cast<std::size_t>(end - chunk.c_str());
-    if (at < s.size() && s[at] == ',') ++at;
-  }
-  return total;
-}
-
 struct Sample {
   bool ok = false;
   double completed = 0;
@@ -133,18 +117,19 @@ Sample fetch_sample(const std::string& host, std::uint16_t port) {
   if (!http_get(host, port, "/metrics.json", &body)) return s;
   s.ok = true;
   const std::string_view v(body);
-  const std::size_t svc = v.find("\"service\":");
-  s.completed = num_after(v, "completed", 0, svc);
-  s.rejected = num_after(v, "rejected", 0, svc);
-  s.expired = num_after(v, "expired", 0, svc);
-  const std::size_t lat = v.find("\"latency_us\":");
+  // Every series lives in the "registry" object, keyed by its full name.
+  const std::size_t reg = v.find("\"registry\":");
+  s.completed = num_after(v, "svc.completed", 0, reg);
+  s.rejected = num_after(v, "svc.rejected", 0, reg);
+  s.expired = num_after(v, "svc.expired", 0, reg);
+  const std::size_t lat = v.find("\"svc.latency_us\":", reg);
   s.p50 = num_after(v, "p50", 0, lat);
   s.p95 = num_after(v, "p95", 0, lat);
   s.p99 = num_after(v, "p99", 0, lat);
-  s.queue_depth = sum_array_after(v, "queue_depths");
-  s.open_conns = num_after(v, "open_conns", 0);
-  s.compactions = num_after(v, "dyn.hybrid.compactions", 0);
-  s.maxrss_kb = num_after(v, "proc.maxrss_kb", 0);
+  s.queue_depth = num_after(v, "svc.queue_depth", 0, reg);
+  s.open_conns = num_after(v, "net.open_conns", 0, reg);
+  s.compactions = num_after(v, "dyn.hybrid.compactions", 0, reg);
+  s.maxrss_kb = num_after(v, "proc.maxrss_kb", 0, reg);
   s.slow_captured = num_after(v, "captured", 0, v.find("\"slowlog\":"));
   return s;
 }
